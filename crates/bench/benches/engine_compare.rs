@@ -90,7 +90,6 @@ fn run_seq(engine: EngineKind) -> f64 {
     for i in 0..(1536 * scale()) {
         file.read_charge(&mut clock, i * chunk, chunk);
     }
-    rt.flush_prefetch_batches(&mut clock);
     let elapsed_ms = (clock.now() - start) as f64 / NS_PER_MS as f64;
     telemetry_sidecar(&format!("engine_{}_seq", engine.name()), &rt);
     elapsed_ms

@@ -83,7 +83,6 @@ fn measured_probes(runtime: &Runtime, clock: &mut simclock::ThreadClock, cfg: &K
         file.read_charge(clock, key * PAGE_SIZE, PAGE_SIZE);
         file.read_charge(clock, record_offset(cfg, key), cfg.record_pages * PAGE_SIZE);
     }
-    runtime.flush_prefetch_batches(clock);
 }
 
 /// One placement run; returns the runtime plus the measured-phase delta.
@@ -108,7 +107,6 @@ fn placement_run(promote: bool) -> (Runtime, RuntimeReport) {
     }
     drop(file);
     run_kvprobe(&runtime, &mut clock, &cfg, PATH);
-    runtime.flush_prefetch_batches(&mut clock);
 
     let warm = RuntimeReport::collect(&runtime);
     measured_probes(&runtime, &mut clock, &cfg);
@@ -154,7 +152,6 @@ fn rw_run(write_through: bool) -> (Runtime, u64, u64, u64) {
         }
     }
     file.fsync(&mut clock);
-    runtime.flush_prefetch_batches(&mut clock);
     let report = RuntimeReport::collect(&runtime);
     let crossings = runtime.os().device().stats().write_requests.get();
     let p99 = report.read_demand_miss.p99();

@@ -176,28 +176,10 @@ pub struct RuntimeConfig {
     /// changes the syscall count and therefore the virtual timeline, so
     /// it is an opt-in optimisation, not a behaviour-preserving default.
     pub coalesce_prefetch: bool,
-    /// Batched prefetch submission (the SQ/CQ path): planned prefetch
-    /// runs accumulate in a bounded per-worker submission queue and are
-    /// handed to the OS as one vectored `readahead_info`-style call that
-    /// charges a *single* syscall crossing per batch and merges adjacent
-    /// runs per inode. Requires cache visibility (blind `readahead(2)`
-    /// has no vectored form); ignored on modes without it. Default off:
-    /// batching changes syscall counts, crossing costs, and therefore the
-    /// virtual timeline — with it off, every new code path is bypassed
-    /// and telemetry is byte-identical to the unbatched runtime.
-    pub batch_submit: bool,
-    /// Entries per submission batch before a size flush
-    /// ([`crate::ring::FlushReason::Full`]).
-    pub batch_max_runs: usize,
-    /// Virtual-time deadline after which an open batch flushes even when
-    /// not full ([`crate::ring::FlushReason::Deadline`]) — bounds the
-    /// staging latency a run can add to a prefetch.
-    pub batch_deadline_ns: u64,
-    /// Completion-driven I/O ring: demand reads join prefetch on the
-    /// shared submission ring. Fully-cached reads are absorbed through the
-    /// exported bitmap without a syscall crossing; demand misses cross via
-    /// one vectored `read_batch` call that piggybacks any staged prefetch
-    /// runs; and high-confidence predictions pre-issue the next demand
+    /// Completion-driven I/O ring for demand reads. Fully-cached reads
+    /// are absorbed through the exported bitmap without a syscall
+    /// crossing; demand misses cross through the ordinary `read(2)`
+    /// path; and high-confidence predictions pre-issue the next demand
     /// read speculatively. Requires cache visibility (the absorb path
     /// reads the shared bitmap); ignored on modes without it. Default
     /// off: the ring changes syscall counts, crossing costs, and
@@ -273,9 +255,6 @@ impl RuntimeConfig {
             prefetch_retry_backoff_ns: 100 * simclock::NS_PER_US,
             registry_shards: 0,
             coalesce_prefetch: false,
-            batch_submit: false,
-            batch_max_runs: 8,
-            batch_deadline_ns: 50 * simclock::NS_PER_US,
             ring_submit: false,
             ring_spec_confidence: 0.9,
             range_index: RangeIndexKind::BPlus,

@@ -7,7 +7,7 @@
 //!
 //! * a **shim** ([`CpFile`]) that transparently intercepts POSIX-style I/O;
 //! * a per-descriptor n-bit **access-pattern predictor**
-//!   ([`predictor::Predictor`], §4.6) driving exponential prefetch-window
+//!   ([`Predictor`], §4.6) driving exponential prefetch-window
 //!   growth;
 //! * a concurrent **range tree** with per-node locks and embedded bitmaps
 //!   ([`range_tree::RangeTree`], §4.5) as the user-level mirror of the
@@ -53,7 +53,6 @@
 mod config;
 pub mod metrics;
 pub mod policy;
-pub mod predictor;
 pub mod range_index;
 pub mod range_tree;
 mod read_path;
@@ -71,13 +70,13 @@ pub use config::{Features, Mode, RuntimeConfig};
 pub use metrics::{PipelineStage, ReadClass, RuntimeMetrics};
 pub use policy::{OpenAction, Policy, PostReadHook};
 pub use predict::{
-    AdaptiveConfig, AdaptiveEngine, CorrelationConfig, CorrelationEngine, Engine, EngineConfig,
-    EngineKind, PredictionEngine, PrefetchDecision, PrefetchRun, QualityFeedback,
+    AccessPattern, AdaptiveConfig, AdaptiveEngine, CorrelationConfig, CorrelationEngine, Direction,
+    Engine, EngineConfig, EngineKind, Prediction, PredictionEngine, Predictor, PrefetchDecision,
+    PrefetchRun, QualityFeedback, SEQ_BATCH_PAGES,
 };
-pub use predictor::{AccessPattern, Direction, Prediction, Predictor, SEQ_BATCH_PAGES};
 pub use range_index::{BPlusRangeIndex, FileRangeIndex, IndexStats, RangeIndex, RangeIndexKind};
 pub use range_tree::{LockScope, RangeTree};
-pub use ring::{FlushReason, SpecRead, SubmissionQueue};
+pub use ring::SpecRead;
 pub use runtime::{CpFile, LibFile, Runtime};
 pub use span::{
     CriticalPath, ReqId, SpanClassTotals, SpanCollector, SpanExemplar, SpanKind, SpanLeaf,
@@ -94,6 +93,6 @@ pub use trace::{LookupOutcome, TraceEvent, TraceEventKind, TraceLog};
 // One coherent import surface for workloads and benches.
 pub use simos::{
     Advice, Device, DeviceConfig, DeviceError, FaultPlan, Fd, FileSystem, FsError, FsKind, InodeId,
-    IoError, MmapOutcome, Os, OsConfig, RaBatchCompletion, RaBatchEntry, RaInfo, RaInfoRequest,
-    ReadOutcome, RegistryStats, Tier, TierStats, TieredStore, WritebackConfig, PAGE_SIZE,
+    IoError, MmapOutcome, Os, OsConfig, RaInfo, RaInfoRequest, ReadOutcome, RegistryStats, Tier,
+    TierStats, TieredStore, WritebackConfig, PAGE_SIZE,
 };

@@ -124,9 +124,6 @@ pub struct RuntimeMetrics {
     pub stage_demand_fill_ns: Histogram,
     /// Virtual time spent in the account stage.
     pub stage_account_ns: Histogram,
-    /// Entries per flushed submission batch (batched prefetch only): how
-    /// full the SQ was when a flush fired, whatever the reason.
-    pub batch_occupancy: Histogram,
 }
 
 impl RuntimeMetrics {

@@ -62,15 +62,9 @@ pub struct Policy {
     pub index: RangeIndexKind,
     /// Post-read hooks, in execution order.
     pub post_read: Vec<PostReadHook>,
-    /// Batched prefetch submission: accumulate planned runs and submit
-    /// them as one vectored crossing. Requires cache visibility — the
-    /// vectored call is a `readahead_info` extension — so the flag is the
-    /// config knob ANDed with the visibility feature.
-    pub batch_submit: bool,
     /// Completion-driven ring: absorb fully-cached demand reads through
-    /// the exported bitmap, cross demand misses via the vectored
-    /// `read_batch` crossing (piggybacking staged prefetch runs), and
-    /// pre-issue high-confidence predicted reads. The absorb path reads
+    /// the exported bitmap and pre-issue high-confidence predicted reads;
+    /// demand misses still cross as plain reads. The absorb path reads
     /// the shared cache-state bitmap, so the flag is the config knob
     /// ANDed with the visibility feature.
     pub ring: bool,
@@ -81,8 +75,8 @@ pub struct Policy {
     pub engine: EngineKind,
     /// Multi-tenant admission control: `true` when a tenant table is
     /// configured and a [`crate::tenant::TenantArbiter`] will be built.
-    /// Unlike batching and the ring this needs no visibility — the
-    /// degraded rungs of the ladder are exactly the blind paths.
+    /// Unlike the ring this needs no visibility — the degraded rungs of
+    /// the ladder are exactly the blind paths.
     pub tenants: bool,
     /// Cross-tier promotion planning: `true` when a tiering config is
     /// present and a [`crate::tiering::TierPlanner`] *may* be built.
@@ -127,7 +121,6 @@ impl Policy {
             scope,
             index: config.range_index,
             post_read,
-            batch_submit: features.visibility && config.batch_submit,
             ring: features.visibility && config.ring_submit,
             engine: if features.predict {
                 config.engine
@@ -210,23 +203,6 @@ mod tests {
         assert!(policy.intercept);
         assert!(!policy.silence_heuristic_ra);
         assert_eq!(policy.post_read, vec![PostReadHook::FincorePoll]);
-    }
-
-    #[test]
-    fn batch_submit_requires_visibility() {
-        // Off by default everywhere.
-        for mode in Mode::table2() {
-            assert!(!Policy::for_config(&RuntimeConfig::new(mode)).batch_submit);
-        }
-        // On + visibility: enabled.
-        let mut config = RuntimeConfig::new(Mode::PredictOpt);
-        config.batch_submit = true;
-        assert!(Policy::for_config(&config).batch_submit);
-        // On without visibility (no vectored form for blind readahead):
-        // stays off.
-        let mut blind = RuntimeConfig::new(Mode::OsOnly);
-        blind.batch_submit = true;
-        assert!(!Policy::for_config(&blind).batch_submit);
     }
 
     #[test]

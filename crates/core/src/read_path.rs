@@ -28,13 +28,14 @@
 
 use std::sync::atomic::Ordering;
 
-use predict::{AccessObservation, PredictionEngine, PrefetchDecision};
+use predict::{
+    AccessObservation, AccessPattern, Direction, Prediction, PredictionEngine, PrefetchDecision,
+};
 use simclock::ThreadClock;
 use simos::{IoError, ReadOutcome, PAGE_SIZE};
 
 use crate::metrics::{PipelineStage, ReadClass};
 use crate::policy::PostReadHook;
-use crate::predictor::{AccessPattern, Prediction};
 use crate::range_index::RangeIndex;
 use crate::runtime::CpFile;
 use crate::trace::{LookupOutcome, TraceEventKind};
@@ -59,15 +60,6 @@ pub(crate) trait FillMode {
 
     /// Charges the demand read against the OS.
     fn fill(
-        file: &CpFile,
-        clock: &mut ThreadClock,
-        offset: u64,
-        len: u64,
-    ) -> Result<ReadOutcome, Self::Error>;
-
-    /// Charges the demand read through the ring's vectored crossing,
-    /// piggybacking any staged prefetch runs on the same syscall.
-    fn ring_fill(
         file: &CpFile,
         clock: &mut ThreadClock,
         offset: u64,
@@ -103,15 +95,6 @@ impl FillMode for NeverFails {
             .read_charge(clock, file.fd, offset, len))
     }
 
-    fn ring_fill(
-        file: &CpFile,
-        clock: &mut ThreadClock,
-        offset: u64,
-        len: u64,
-    ) -> Result<ReadOutcome, Self::Error> {
-        Ok(file.ring_fill(clock, offset, len))
-    }
-
     fn write_fill(
         file: &CpFile,
         clock: &mut ThreadClock,
@@ -142,15 +125,6 @@ impl FillMode for MayFail {
             .inner
             .os
             .try_read_charge(clock, file.fd, offset, len)
-    }
-
-    fn ring_fill(
-        file: &CpFile,
-        clock: &mut ThreadClock,
-        offset: u64,
-        len: u64,
-    ) -> Result<ReadOutcome, Self::Error> {
-        file.try_ring_fill(clock, offset, len)
     }
 
     fn write_fill(
@@ -412,7 +386,6 @@ impl CpFile {
         {
             if let Some(pred) = &ctx.decision.prediction {
                 if pred.prefetch_pages > 0 {
-                    use crate::predictor::Direction;
                     let file_pages = inner.os.fs().size(self.file.ino).div_ceil(PAGE_SIZE);
                     ctx.spec_target = match pred.direction {
                         Direction::Forward => {
@@ -441,9 +414,6 @@ impl CpFile {
         // Correlation runs, duel bookkeeping, deferred mining — all empty
         // for the strided engine, so the default path is unchanged.
         self.apply_engine_decision(clock, &decision);
-        // Batched submission: expired batches ride the next intercepted
-        // read. One relaxed load when nothing is due (or batching is off).
-        self.runtime.flush_due_batches(clock);
         ctx.close_stage(self, PipelineStage::PrefetchPlan, clock.now());
     }
 
@@ -453,7 +423,6 @@ impl CpFile {
     /// streams promote — the planner's frontier is monotone, matching
     /// the placement map's word-granular advance.
     fn maybe_promote(&self, clock: &mut ThreadClock, ctx: &ReadCtx) {
-        use crate::predictor::Direction;
         let inner = &self.runtime.inner;
         let Some(planner) = &inner.planner else {
             return;
@@ -561,12 +530,9 @@ impl CpFile {
                     absorbed = inner.os.absorb_read(clock, self.fd, ctx.offset, ctx.len);
                 }
             }
+            // Everything else crosses through the plain read syscall.
             let filled = match absorbed {
                 Some(outcome) => Ok(outcome),
-                // Everything else crosses — as a vectored ring submission
-                // that piggybacks staged prefetch runs when the ring is
-                // on, or the plain read syscall when it is off.
-                None if ring => F::ring_fill(self, clock, ctx.offset, ctx.len),
                 None => F::fill(self, clock, ctx.offset, ctx.len),
             };
             match filled {
@@ -837,7 +803,6 @@ impl CpFile {
         p0: u64,
         p1: u64,
     ) {
-        use crate::predictor::Direction;
         let runtime = &self.runtime;
         let inner = &runtime.inner;
 

@@ -9,8 +9,8 @@ use predict::{AccessObservation, Engine, PredictionEngine, PrefetchDecision, Qua
 use simclock::ThreadClock;
 use simos::shard::{RegistryStats, ShardedMap};
 use simos::{
-    Advice, Fd, FsError, InodeId, IoError, MmapOutcome, Os, PrefetchQuality, RaBatchCompletion,
-    RaBatchEntry, RaInfoRequest, ReadBatchEntry, ReadOutcome, PAGE_SIZE,
+    Advice, Fd, FsError, InodeId, IoError, MmapOutcome, Os, PrefetchQuality, RaInfoRequest,
+    ReadOutcome, PAGE_SIZE,
 };
 
 use crate::config::{Features, Mode, RuntimeConfig};
@@ -18,24 +18,13 @@ use crate::metrics::RuntimeMetrics;
 use crate::policy::{OpenAction, Policy};
 use crate::range_index::{FileRangeIndex, IndexStats, RangeIndex};
 use crate::range_tree::LockScope;
-use crate::ring::{Flush, FlushReason, SpecRead, SubmissionQueue};
+use crate::ring::SpecRead;
 use crate::span::{CrossLayerSink, SpanCollector, SpanKind};
 use crate::stats::LibStats;
 use crate::tenant::{AdmissionRung, TenantArbiter, TenantId, UNBOUND_TENANT};
 use crate::tiering::TierPlanner;
 use crate::trace::{LookupOutcome, TraceEventKind, TraceLog};
 use crate::worker::WorkerPool;
-
-/// One staged prefetch run awaiting submission through the ring: a
-/// limit-sized sub-range of a planned prefetch, carrying everything the
-/// worker needs to build its [`RaBatchEntry`] at flush time.
-#[derive(Debug)]
-pub(crate) struct BatchedRun {
-    file: Arc<LibFile>,
-    start: u64,
-    end: u64,
-    relax: bool,
-}
 
 /// Per-file (per-inode) runtime state, shared by every descriptor opened on
 /// the file — the userspace mirror of the kernel's per-inode bitmap.
@@ -116,7 +105,7 @@ pub struct CpFile {
     /// Whether mapped access restored fault-around already.
     mmap_touched: std::sync::atomic::AtomicBool,
     /// Last pattern index the tracer saw for this descriptor
-    /// ([`crate::predictor::AccessPattern::index`]; 255 = none yet). Only
+    /// ([`predict::AccessPattern::index`]; 255 = none yet). Only
     /// touched while tracing is enabled.
     pub(crate) last_pattern: std::sync::atomic::AtomicU8,
 }
@@ -137,11 +126,6 @@ pub(crate) struct RuntimeInner {
     /// files' opens never serialize on one registry lock.
     files: ShardedMap<Arc<LibFile>>,
     pub(crate) workers: WorkerPool,
-    /// Staged prefetch runs awaiting submission through the ring (one
-    /// slot per worker). Only consulted when [`Policy::batch_submit`] is
-    /// on; with batching off no entry is ever pushed and the queue is
-    /// inert.
-    batch_queue: SubmissionQueue<BatchedRun>,
     pub(crate) stats: LibStats,
     /// Last time (virtual ns) the memory watcher scanned candidates —
     /// bounds the eviction scan to once per watcher interval.
@@ -184,11 +168,6 @@ impl Runtime {
         let policy = Policy::for_config(&config);
         let shards = config.effective_registry_shards();
         let workers = WorkerPool::new(config.workers.max(1), Arc::clone(os.global()));
-        let batch_queue = SubmissionQueue::new(
-            config.workers.max(1),
-            config.batch_max_runs,
-            config.batch_deadline_ns,
-        );
         let trace = Arc::new(TraceLog::default());
         let spans = Arc::new(SpanCollector::new(config.span_exemplars));
         // Bridge kernel-side decisions (readahead_info, RA window growth,
@@ -214,7 +193,6 @@ impl Runtime {
                 policy,
                 files: ShardedMap::new(shards),
                 workers,
-                batch_queue,
                 stats: LibStats::default(),
                 last_evict_scan_ns: AtomicU64::new(0),
                 last_evicted_pages: AtomicU64::new(0),
@@ -457,7 +435,7 @@ impl Runtime {
     /// global counter always, plus the owning tenant's ledger when an
     /// arbiter is configured — keeping the per-tenant
     /// `timely + late + wasted == initiated` invariant intact across
-    /// every initiation path (worker, batch completion, cancelled
+    /// every initiation path (prefetch worker, promotion, cancelled
     /// speculation).
     pub(crate) fn note_pages_initiated(&self, file: &LibFile, pages: u64) {
         self.inner.stats.pages_initiated.add(pages);
@@ -689,16 +667,6 @@ impl Runtime {
         inner.stats.pages_requested.add(total);
         clock.advance(costs.lock_op_ns); // enqueue
 
-        // Batched path: stage limit-sized runs in the submission queue and
-        // return; a full or expired slot flushes as one vectored crossing.
-        // Degradation falls back to the per-run path below — blind
-        // `readahead(2)` has no vectored form, whether the blindness came
-        // from the kernel latch or the tenant admission ladder.
-        if inner.policy.batch_submit && !inner.degraded.load(Ordering::Relaxed) && !force_blind {
-            self.enqueue_batched(clock, file, &missing, inner.policy.features.relax_limits);
-            return end;
-        }
-
         let runtime = self.clone();
         let file = Arc::clone(file);
         let relax = inner.policy.features.relax_limits && !force_blind;
@@ -752,8 +720,9 @@ impl Runtime {
     }
 
     /// Merges adjacent missing runs separated by at most one OS readahead
-    /// window into a single submission (batched prefetch, opt-in via
-    /// [`RuntimeConfig::coalesce_prefetch`]). The merged span covers the
+    /// window into a single `readahead_info` run (opt-in via
+    /// [`RuntimeConfig::coalesce_prefetch`], or forced by the tenant
+    /// arbiter's coalesced-only rung). The merged span covers the
     /// gap pages too — safe only on the cache-visibility path, where the
     /// OS dedups already-cached pages inside the span.
     fn coalesce_runs(&self, runs: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
@@ -771,301 +740,11 @@ impl Runtime {
         out
     }
 
-    /// Batching half of [`Runtime::prefetch_pages`]: splits the missing
-    /// runs into limit-sized entries — so batched and unbatched
-    /// submissions initiate identical page counts, only the crossing count
-    /// differs — and stages them in the submission queue. A push that
-    /// fills the slot or finds it past its deadline flushes inline.
-    fn enqueue_batched(
-        &self,
-        clock: &mut ThreadClock,
-        file: &Arc<LibFile>,
-        missing: &[(u64, u64)],
-        relax: bool,
-    ) {
-        let inner = &self.inner;
-        let cap = if relax {
-            inner.config.max_prefetch_pages.max(1)
-        } else {
-            inner.os.config().ra_max_pages.max(1)
-        };
-        let now = clock.now();
-        let slot = inner.workers.least_loaded(now);
-        for &(start, end) in missing {
-            let mut cursor = start;
-            while cursor < end {
-                let upto = (cursor + cap).min(end);
-                let run = BatchedRun {
-                    file: Arc::clone(file),
-                    start: cursor,
-                    end: upto,
-                    relax,
-                };
-                if let Some(flush) = inner.batch_queue.push(slot, now, run) {
-                    self.flush_batch(clock, slot, flush);
-                }
-                cursor = upto;
-            }
-        }
-    }
-
-    /// Fires the reactor timer: flushes batches whose virtual-time
-    /// deadline has passed, each *at its own due time*. Called from the
-    /// read path's prefetch-plan stage and the explicit drain points; the
-    /// common case is one relaxed load of the deadline hint and an
-    /// immediate return.
-    pub(crate) fn flush_due_batches(&self, clock: &mut ThreadClock) {
-        let inner = &self.inner;
-        if !inner.policy.batch_submit || clock.now() < inner.batch_queue.next_deadline_ns() {
-            return;
-        }
-        for (slot, flush) in inner.batch_queue.drain_due(clock.now()) {
-            self.flush_batch(clock, slot, flush);
-        }
-    }
-
-    /// Drains every staged prefetch batch. Expired batches fire first
-    /// through the reactor timer — dispatched at their own deadline, not
-    /// the caller's `now` — and only still-young batches drain as
-    /// [`FlushReason::Explicit`]. Benches and workloads call this at
-    /// measurement boundaries so no planned prefetch is left staged; a
-    /// no-op when batching is off.
-    pub fn flush_prefetch_batches(&self, clock: &mut ThreadClock) {
-        let inner = &self.inner;
-        if !inner.policy.batch_submit {
-            return;
-        }
-        self.flush_due_batches(clock);
-        for (slot, flush) in inner.batch_queue.drain_all() {
-            self.flush_batch(clock, slot, flush);
-        }
-    }
-
-    /// Hands one flushed batch to its worker as a single vectored
-    /// crossing. A deadline flush dispatches at the batch's *own* due
-    /// time (`opened_ns + deadline_ns`) in virtual time — the reactor
-    /// timer firing — not at whatever later moment a read happened to
-    /// pump the queue; the worker's FCFS server handles a past enqueue
-    /// time naturally (the job starts at `max(due, clear_time)`).
-    /// Billing (flush-reason counters, the occupancy histogram) is
-    /// always against the flushed batch's own entries.
-    fn flush_batch(&self, clock: &mut ThreadClock, slot: usize, flush: Flush<BatchedRun>) {
-        let inner = &self.inner;
-        if flush.entries.is_empty() {
-            return;
-        }
-        let at_ns = match flush.reason {
-            FlushReason::Deadline => {
-                inner.stats.ring_timer_fires.incr();
-                flush.due_ns(inner.batch_queue.deadline_ns())
-            }
-            FlushReason::Full | FlushReason::Explicit => clock.now(),
-        };
-        let batch = flush.entries;
-        let runs = batch.len() as u64;
-        let pages: u64 = batch.iter().map(|r| r.end - r.start).sum();
-        inner.stats.batches_flushed.incr();
-        match flush.reason {
-            FlushReason::Full => inner.stats.batch_flush_full.incr(),
-            FlushReason::Deadline => inner.stats.batch_flush_deadline.incr(),
-            FlushReason::Explicit => inner.stats.batch_flush_explicit.incr(),
-        }
-        inner.stats.batch_runs_submitted.add(runs);
-        inner.stats.batch_crossings_saved.add(runs - 1);
-        inner.metrics.batch_occupancy.record(runs);
-        inner.trace.emit(
-            at_ns,
-            TraceEventKind::BatchFlushed {
-                runs,
-                pages,
-                reason: flush.reason,
-            },
-        );
-        let runtime = self.clone();
-        let est_ns = inner.os.config().costs.syscall_ns;
-        let dispatch = inner
-            .workers
-            .dispatch_on(slot, at_ns, est_ns, move |wclock| {
-                runtime.issue_prefetch_batch(wclock, batch);
-            });
-        inner
-            .metrics
-            .worker_queue_ns
-            .record(dispatch.queue_wait_ns());
-        inner.metrics.prefetch_ns.record(dispatch.latency_ns());
-        crate::span::record_leaf(SpanKind::BatchFlush, dispatch.latency_ns(), dispatch.end_ns);
-    }
-
-    /// Worker half of the batched path: one vectored syscall covers the
-    /// whole batch, then completions are handled per entry. A transiently
-    /// failed merged run falls back to the unbatched retry ladder for each
-    /// of its entries (the batch submission counts as their first
-    /// attempt); an `Unsupported` kernel flips the one-way degradation
-    /// latch and re-issues every staged run through the unbatched path,
-    /// which then goes blind.
-    fn issue_prefetch_batch(&self, clock: &mut ThreadClock, batch: Vec<BatchedRun>) {
-        let inner = &self.inner;
-        let max_pages = inner.config.max_prefetch_pages;
-        let entries = self.batch_entries(&batch);
-        match inner.os.try_readahead_batch(clock, &entries) {
-            Ok(completions) => self.apply_batch_completions(clock, &batch, &completions),
-            Err(_) => {
-                if !inner.degraded.swap(true, Ordering::Relaxed) {
-                    if let Some(run) = batch.first() {
-                        inner.trace.emit(
-                            clock.now(),
-                            TraceEventKind::VisibilityDowngraded { ino: run.file.ino },
-                        );
-                    }
-                }
-                for run in &batch {
-                    self.issue_prefetch(
-                        clock,
-                        &run.file,
-                        &[(run.start, run.end)],
-                        run.relax,
-                        true,
-                        max_pages,
-                    );
-                }
-            }
-        }
-    }
-
-    /// Builds the vectored OS entries for a set of staged runs — shared
-    /// by the batch-flush worker and the demand-path ring crossing so
-    /// both submit byte-identical requests.
-    fn batch_entries(&self, batch: &[BatchedRun]) -> Vec<RaBatchEntry> {
-        let os_cap = self.inner.os.config().ra_max_pages;
-        batch
-            .iter()
-            .map(|run| {
-                RaBatchEntry::new(
-                    run.file.prefetch_fd,
-                    run.start * PAGE_SIZE,
-                    (run.end - run.start) * PAGE_SIZE,
-                )
-                .with_limit_pages(if run.relax {
-                    run.end - run.start
-                } else {
-                    os_cap
-                })
-            })
-            .collect()
-    }
-
-    /// Per-entry completion handling for a vectored submission: merged
-    /// accounting, user-view import, and the transient-failure retry
-    /// ladder (the vectored submission counts as each entry's first
-    /// attempt).
-    fn apply_batch_completions(
-        &self,
-        clock: &mut ThreadClock,
-        batch: &[BatchedRun],
-        completions: &[RaBatchCompletion],
-    ) {
-        let inner = &self.inner;
-        let costs = &inner.os.config().costs;
-        let max_pages = inner.config.max_prefetch_pages;
-        for (run, done) in batch.iter().zip(completions) {
-            if done.merged {
-                inner.stats.batch_runs_merged.incr();
-            }
-            if done.error.is_some() {
-                inner.stats.prefetch_retries.incr();
-                inner.trace.emit(
-                    clock.now(),
-                    TraceEventKind::PrefetchRetry {
-                        ino: run.file.ino,
-                        start_page: run.start,
-                        pages: run.end - run.start,
-                        attempt: 1,
-                    },
-                );
-                let backoff = inner.config.prefetch_retry_backoff_ns.max(1);
-                clock.advance(backoff);
-                crate::span::record_leaf(SpanKind::RetryBackoff, backoff, clock.now());
-                self.issue_prefetch(
-                    clock,
-                    &run.file,
-                    &[(run.start, run.end)],
-                    run.relax,
-                    true,
-                    max_pages,
-                );
-                continue;
-            }
-            self.note_pages_initiated(&run.file, done.initiated_pages);
-            run.file
-                .tree
-                .mark_cached(clock, costs, self.scope(), run.start, run.end);
-        }
-    }
-
-    /// Reactor half of a demand ring crossing that piggybacked staged
-    /// prefetch runs: completion handling (merged accounting, user-view
-    /// import, the retry ladder) runs on the worker pool, off the demand
-    /// path.
-    fn finish_ring_crossing(
-        &self,
-        clock: &mut ThreadClock,
-        staged: Vec<BatchedRun>,
-        completions: Vec<RaBatchCompletion>,
-    ) {
-        if staged.is_empty() {
-            return;
-        }
-        let inner = &self.inner;
-        inner
-            .stats
-            .ring_staged_runs_piggybacked
-            .add(staged.len() as u64);
-        let runtime = self.clone();
-        let dispatch = inner.workers.dispatch(clock.now(), 0, move |wclock| {
-            runtime.apply_batch_completions(wclock, &staged, &completions);
-        });
-        inner
-            .metrics
-            .worker_queue_ns
-            .record(dispatch.queue_wait_ns());
-        // Measured on the detached worker timeline: attach as an async
-        // child, never on the demand read's critical path.
-        crate::span::suspended(|| {
-            crate::span::record_leaf(
-                SpanKind::RingComplete,
-                dispatch.latency_ns(),
-                dispatch.end_ns,
-            );
-        });
-    }
-
-    /// Degradation exit for a rejected ring crossing (`Unsupported`
-    /// kernel): latch the one-way downgrade and re-issue the staged runs
-    /// through the unbatched — now blind — worker path so no planned
-    /// prefetch is lost.
-    fn ring_degrade(&self, clock: &mut ThreadClock, staged: Vec<BatchedRun>, ino: InodeId) {
-        let inner = &self.inner;
-        if !inner.degraded.swap(true, Ordering::Relaxed) {
-            inner
-                .trace
-                .emit(clock.now(), TraceEventKind::VisibilityDowngraded { ino });
-        }
-        let max_pages = inner.config.max_prefetch_pages;
-        let est_ns = inner.os.config().costs.syscall_ns;
-        for run in staged {
-            let runtime = self.clone();
-            inner.workers.dispatch(clock.now(), est_ns, move |wclock| {
-                runtime.issue_prefetch(
-                    wclock,
-                    &run.file,
-                    &[(run.start, run.end)],
-                    run.relax,
-                    true,
-                    max_pages,
-                );
-            });
-        }
-    }
+    /// A no-op, kept so callers that drain prefetch at measurement
+    /// boundaries still compile: prefetch has one submission path, and
+    /// every planned run is dispatched to a worker as soon as
+    /// `prefetch_pages` plans it, so nothing is ever left staged.
+    pub fn flush_prefetch_batches(&self, _clock: &mut ThreadClock) {}
 
     /// Worker half: actually issue the prefetch syscalls.
     ///
@@ -1274,9 +953,6 @@ impl Runtime {
     /// simulating the paper's fresh-process runs (a freshly-linked
     /// CROSS-LIB starts with no imported bitmaps).
     pub fn drop_cache_view(&self, clock: &mut ThreadClock) {
-        // Staged-but-unflushed batch entries die with the view: they were
-        // planned against the imported bitmaps being dropped.
-        let _ = self.inner.batch_queue.drain_all();
         let costs = &self.inner.os.config().costs;
         for file in self.inner.inner_files() {
             file.tree.clear(clock, costs, self.scope());
@@ -1528,82 +1204,6 @@ impl CpFile {
 
     // ----- completion-driven ring --------------------------------------------
 
-    /// Drains every staged submission batch for piggybacking on a demand
-    /// ring crossing, building their vectored entries. Empty (and free)
-    /// when batching is off or nothing is staged.
-    fn ring_stage(&self) -> (Vec<BatchedRun>, Vec<RaBatchEntry>) {
-        let inner = &self.runtime.inner;
-        if !inner.policy.batch_submit {
-            return (Vec::new(), Vec::new());
-        }
-        let mut staged = Vec::new();
-        for (_, flush) in inner.batch_queue.drain_all() {
-            staged.extend(flush.entries);
-        }
-        let entries = self.runtime.batch_entries(&staged);
-        (staged, entries)
-    }
-
-    /// Infallible demand ring crossing: the miss and any staged prefetch
-    /// runs cross as one vectored `read_batch` call. An `Unsupported`
-    /// kernel latches degradation, re-issues the staged runs through the
-    /// blind path, and falls back to the plain read.
-    pub(crate) fn ring_fill(&self, clock: &mut ThreadClock, offset: u64, len: u64) -> ReadOutcome {
-        let (staged, entries) = self.ring_stage();
-        let demand = [ReadBatchEntry::new(self.fd, offset, len)];
-        match self.runtime.inner.os.read_batch(clock, &demand, &entries) {
-            Ok((mut outcomes, completions)) => {
-                self.runtime
-                    .finish_ring_crossing(clock, staged, completions);
-                outcomes.pop().unwrap_or_default()
-            }
-            Err(_) => {
-                self.runtime.ring_degrade(clock, staged, self.file.ino);
-                self.runtime
-                    .inner
-                    .os
-                    .read_charge(clock, self.fd, offset, len)
-            }
-        }
-    }
-
-    /// Fallible demand ring crossing (see [`CpFile::ring_fill`]); a
-    /// transient device fault in the demand portion surfaces to the
-    /// caller while the piggybacked prefetch completions still process.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IoError::Io`] when the device fault plan injects an EIO
-    /// into the demand-class portion of the crossing.
-    pub(crate) fn try_ring_fill(
-        &self,
-        clock: &mut ThreadClock,
-        offset: u64,
-        len: u64,
-    ) -> Result<ReadOutcome, IoError> {
-        let (staged, entries) = self.ring_stage();
-        let demand = [ReadBatchEntry::new(self.fd, offset, len)];
-        match self
-            .runtime
-            .inner
-            .os
-            .try_read_batch(clock, &demand, &entries)
-        {
-            Ok((mut outcomes, completions)) => {
-                self.runtime
-                    .finish_ring_crossing(clock, staged, completions);
-                outcomes.pop().unwrap_or(Ok(ReadOutcome::default()))
-            }
-            Err(_) => {
-                self.runtime.ring_degrade(clock, staged, self.file.ino);
-                self.runtime
-                    .inner
-                    .os
-                    .try_read_charge(clock, self.fd, offset, len)
-            }
-        }
-    }
-
     /// Consumes a pending speculative pre-issue for this demand access.
     ///
     /// An exact `(offset, len)` match *absorbs*: the read completes from
@@ -1667,16 +1267,15 @@ impl CpFile {
     /// Pre-issues the predicted next demand read through the ring
     /// (Foreactor style): worth it only when the whole target is still
     /// missing from the user view — partial coverage means the normal
-    /// prefetch stream is already on it — and no staged batch overlaps
-    /// it. The read runs on the worker pool with the standard transient
-    /// retry ladder; an `Unsupported` kernel latches degradation and
-    /// aborts the speculation.
+    /// prefetch stream is already on it. The read runs on the worker pool
+    /// with the standard transient retry ladder. A degraded runtime, or a
+    /// kernel without CROSS-OS, has no ring to pre-issue through.
     pub(crate) fn maybe_issue_spec(&self, clock: &mut ThreadClock, start_page: u64, end_page: u64) {
         let inner = &self.runtime.inner;
         if start_page >= end_page || self.spec.lock().is_some() {
             return;
         }
-        if inner.degraded.load(Ordering::Relaxed) {
+        if inner.degraded.load(Ordering::Relaxed) || !inner.os.config().readahead_info_supported {
             return;
         }
         let costs = &inner.os.config().costs;
@@ -1688,12 +1287,6 @@ impl CpFile {
             return;
         }
         let ino = self.file.ino;
-        if inner
-            .batch_queue
-            .any_staged(|run| run.file.ino == ino && run.start < end_page && start_page < run.end)
-        {
-            return;
-        }
         inner.stats.ring_spec_issued.incr();
         if inner.trace.is_enabled() {
             inner.trace.emit(
@@ -1710,39 +1303,21 @@ impl CpFile {
         let attempts = inner.config.prefetch_retry_attempts.max(1);
         let est_ns = costs.syscall_ns;
         let dispatch = inner.workers.dispatch(clock.now(), est_ns, |wclock| {
-            let demand = [ReadBatchEntry::new(self.fd, offset, len)];
             let mut attempt: u32 = 0;
             let mut backoff = inner.config.prefetch_retry_backoff_ns.max(1);
             loop {
                 attempt += 1;
-                match inner.os.try_read_batch(wclock, &demand, &[]) {
-                    Ok((mut outcomes, _)) => match outcomes.pop() {
-                        Some(Ok(outcome)) => {
-                            *self.spec.lock() = Some(SpecRead {
-                                offset,
-                                len,
-                                outcome,
-                                ready_ns: wclock.now(),
-                            });
-                            return;
-                        }
-                        // Transient demand-class fault: retry below.
-                        // Pages the failed fill completed stay cached
-                        // (plain, uncharged), so dropping the
-                        // speculation on exhaustion loses nothing.
-                        Some(Err(_)) => {}
-                        None => return,
-                    },
-                    Err(_) => {
-                        // Unsupported kernel: the ring is gone; latch the
-                        // one-way downgrade and abort the speculation.
-                        if !inner.degraded.swap(true, Ordering::Relaxed) {
-                            inner
-                                .trace
-                                .emit(wclock.now(), TraceEventKind::VisibilityDowngraded { ino });
-                        }
-                        return;
-                    }
+                // A transient demand-class fault retries below. Pages the
+                // failed fill completed stay cached (plain, uncharged), so
+                // dropping the speculation on exhaustion loses nothing.
+                if let Ok(outcome) = inner.os.try_read_charge(wclock, self.fd, offset, len) {
+                    *self.spec.lock() = Some(SpecRead {
+                        offset,
+                        len,
+                        outcome,
+                        ready_ns: wclock.now(),
+                    });
+                    return;
                 }
                 if attempt >= attempts {
                     return;

@@ -24,9 +24,10 @@
 //!   synchronous leaf contributes its duration to its kind's bucket, so
 //!   the bucket sum equals the measured latency to the nanosecond.
 //! * **Async work is attached, not billed.** Spans recorded on detached
-//!   clocks (worker jobs, prefetch-class device windows, batch flushes)
-//!   appear as *async children* for tree display and folded stacks but
-//!   never enter the buckets — they are off the read's critical path.
+//!   clocks (worker jobs, prefetch-class device windows, speculative
+//!   pre-issues) appear as *async children* for tree display and folded
+//!   stacks but never enter the buckets — they are off the read's
+//!   critical path.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -62,18 +63,13 @@ pub enum SpanKind {
     /// A dispatched worker job's issuing window (detached worker
     /// timeline — always an async child).
     WorkerRun,
-    /// One submission-batch flush, enqueue to completion (detached worker
-    /// timeline — always an async child).
-    BatchFlush,
     /// Virtual-time backoff before a prefetch retry attempt.
     RetryBackoff,
     /// A speculative ring pre-issue, enqueue to completion (detached
     /// worker timeline — always an async child).
     RingSubmit,
     /// Ring completion handling on the demand path: the wait for a
-    /// speculative pre-issue's data to become ready before absorbing it,
-    /// or the detached piggyback-completion dispatch (which records under
-    /// a suspended frame and attaches async).
+    /// speculative pre-issue's data to become ready before absorbing it.
     RingComplete,
 }
 
@@ -85,7 +81,6 @@ impl SpanKind {
             SpanKind::LibTreeLockWait => "lib-tree-lock-wait",
             SpanKind::WorkerQueueWait => "worker-queue-wait",
             SpanKind::WorkerRun => "worker-run",
-            SpanKind::BatchFlush => "batch-flush",
             SpanKind::RetryBackoff => "retry-backoff",
             SpanKind::RingSubmit => "ring-submit",
             SpanKind::RingComplete => "ring-complete",
@@ -101,7 +96,6 @@ impl SpanKind {
                 | SpanKind::Os(OsSpanKind::TierPromote)
                 | SpanKind::WorkerQueueWait
                 | SpanKind::WorkerRun
-                | SpanKind::BatchFlush
                 | SpanKind::RingSubmit
         )
     }
@@ -156,7 +150,6 @@ impl CriticalPath {
             SpanKind::Os(OsSpanKind::DevicePrefetch)
             | SpanKind::Os(OsSpanKind::TierPromote)
             | SpanKind::WorkerRun
-            | SpanKind::BatchFlush
             | SpanKind::RingSubmit => self.stage_compute_ns += dur_ns,
         }
     }
@@ -212,7 +205,7 @@ pub struct SpanExemplar {
     pub leaves: Vec<SpanLeaf>,
     /// Async children: spans measured on detached clocks while this read
     /// was in flight (worker jobs it dispatched, prefetch device windows,
-    /// batch flushes). Attached for display, never bucketed.
+    /// speculative pre-issues). Attached for display, never bucketed.
     pub async_children: Vec<SpanLeaf>,
     /// The collapsed critical path; `path.total_ns() == latency_ns`.
     pub path: CriticalPath,
@@ -790,7 +783,7 @@ mod tests {
             &[
                 (SpanKind::WorkerQueueWait, 100),
                 (SpanKind::WorkerRun, 200),
-                (SpanKind::BatchFlush, 300),
+                (SpanKind::RingSubmit, 300),
                 (SpanKind::Os(OsSpanKind::DevicePrefetch), 400),
             ],
             false,

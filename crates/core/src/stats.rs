@@ -44,30 +44,6 @@ pub struct LibStats {
     /// ([`crate::RuntimeConfig::coalesce_prefetch`]); each merge is one
     /// saved syscall-bearing submission.
     pub prefetch_runs_coalesced: Counter,
-    /// Submission batches flushed to the vectored OS path
-    /// ([`crate::RuntimeConfig::batch_submit`]).
-    pub batches_flushed: Counter,
-    /// Batches flushed because they reached `batch_max_runs`.
-    pub batch_flush_full: Counter,
-    /// Batches flushed by the `batch_deadline_ns` virtual-time deadline.
-    pub batch_flush_deadline: Counter,
-    /// Batches flushed explicitly (drain points: shutdown, cache drops,
-    /// [`crate::Runtime::flush_prefetch_batches`]).
-    pub batch_flush_explicit: Counter,
-    /// Prefetch runs submitted through batches (entries across all
-    /// flushes).
-    pub batch_runs_submitted: Counter,
-    /// Batched runs the OS merged into an adjacent run of the same inode
-    /// before hitting the device.
-    pub batch_runs_merged: Counter,
-    /// Syscall crossings batching avoided: for a flush of N entries,
-    /// N-1 crossings the unbatched path would have paid.
-    pub batch_crossings_saved: Counter,
-    /// Staged prefetch runs drained from the submission queues and
-    /// piggybacked on a demand-read ring crossing
-    /// ([`crate::RuntimeConfig::ring_submit`]) instead of waiting for
-    /// their own flush.
-    pub ring_staged_runs_piggybacked: Counter,
     /// Speculative next-read pre-issues the ring dispatched (Foreactor
     /// style: the predictor's next demand read, issued before the
     /// application asks).
@@ -81,10 +57,6 @@ pub struct LibStats {
     /// into the prefetch-quality ledger as charged (initiated) pages so
     /// they surface as `wasted` if never used.
     pub ring_spec_pages_charged: Counter,
-    /// Deadline-timer firings by the completion reactor (batches flushed
-    /// *at* their virtual-time deadline rather than at the next read's
-    /// convenience).
-    pub ring_timer_fires: Counter,
     /// Correlation-mined prefetch runs issued by the prediction engine
     /// (zero under the strided default, which emits no association runs).
     pub engine_assoc_runs: Counter,

@@ -19,7 +19,9 @@ use crate::tenant::TenantReport;
 use crate::Runtime;
 
 /// Version stamped into every JSON export; bump on breaking layout change.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 1;
+/// Version 2 removed the `batching` section and the `ring` section's
+/// `demand_batch_calls`, `staged_runs_piggybacked` and `timer_fires`.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 2;
 
 /// A point-in-time snapshot of the cross-layered telemetry.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,24 +101,6 @@ pub struct RuntimeReport {
     pub os_reclaim_scan: HistogramSnapshot,
     /// Adjacent prefetch runs merged by opt-in submission coalescing.
     pub prefetch_runs_coalesced: u64,
-    /// Submission batches flushed to the vectored OS path.
-    pub batches_flushed: u64,
-    /// Batches flushed for reaching their entry capacity.
-    pub batch_flush_full: u64,
-    /// Batches flushed by the virtual-time deadline.
-    pub batch_flush_deadline: u64,
-    /// Batches flushed by an explicit drain.
-    pub batch_flush_explicit: u64,
-    /// Prefetch runs submitted through batches.
-    pub batch_runs_submitted: u64,
-    /// Batched runs the OS merged into an adjacent run before the device.
-    pub batch_runs_merged: u64,
-    /// Syscall crossings batching avoided (entries minus one, per flush).
-    pub batch_crossings_saved: u64,
-    /// Vectored `readahead_batch` calls the OS served.
-    pub ra_batch_calls: u64,
-    /// Entries per flushed batch (SQ occupancy at flush time).
-    pub batch_occupancy: HistogramSnapshot,
     /// Stable name of the prediction engine new descriptors use
     /// ([`predict::EngineKind::name`], policy-resolved).
     pub engine: &'static str,
@@ -135,11 +119,6 @@ pub struct RuntimeReport {
     pub ring_enabled: bool,
     /// Demand reads the ring absorbed without a syscall crossing.
     pub ring_absorbed_reads: u64,
-    /// Vectored `read_batch` crossings the OS served (demand entries
-    /// plus piggybacked prefetch runs per call).
-    pub ring_demand_batch_calls: u64,
-    /// Staged prefetch runs piggybacked on demand-read ring crossings.
-    pub ring_staged_runs_piggybacked: u64,
     /// Speculative next-read pre-issues dispatched.
     pub ring_spec_issued: u64,
     /// Speculative pre-issues absorbed by a matching demand read.
@@ -148,10 +127,6 @@ pub struct RuntimeReport {
     pub ring_spec_cancelled: u64,
     /// Pages cancelled speculations re-entered into the quality ledger.
     pub ring_spec_pages_charged: u64,
-    /// Deadline-timer firings by the completion reactor. The timer also
-    /// serves plain `batch_submit` mode (overdue batches flush at their
-    /// own due time), so this can be nonzero with the ring disabled.
-    pub ring_timer_fires: u64,
     /// Which range-index implementation backs the per-file cache views
     /// ([`crate::RangeIndexKind::name`], policy-resolved).
     pub range_index_kind: &'static str,
@@ -321,15 +296,6 @@ impl RuntimeReport {
             evict_scan: metrics.evict_scan_ns.snapshot(),
             os_reclaim_scan: os.stats().reclaim_scan_hist.snapshot(),
             prefetch_runs_coalesced: stats.prefetch_runs_coalesced.get(),
-            batches_flushed: stats.batches_flushed.get(),
-            batch_flush_full: stats.batch_flush_full.get(),
-            batch_flush_deadline: stats.batch_flush_deadline.get(),
-            batch_flush_explicit: stats.batch_flush_explicit.get(),
-            batch_runs_submitted: stats.batch_runs_submitted.get(),
-            batch_runs_merged: stats.batch_runs_merged.get(),
-            batch_crossings_saved: stats.batch_crossings_saved.get(),
-            ra_batch_calls: os.stats().ra_batch_calls.get(),
-            batch_occupancy: metrics.batch_occupancy.snapshot(),
             engine: runtime.inner.policy.engine.name(),
             engine_assoc_runs: stats.engine_assoc_runs.get(),
             engine_assoc_pages: stats.engine_assoc_pages.get(),
@@ -338,13 +304,10 @@ impl RuntimeReport {
             engine_ownership_flips: stats.engine_ownership_flips.get(),
             ring_enabled: runtime.inner.policy.ring,
             ring_absorbed_reads: os.stats().absorbed_reads.get(),
-            ring_demand_batch_calls: os.stats().read_batch_calls.get(),
-            ring_staged_runs_piggybacked: stats.ring_staged_runs_piggybacked.get(),
             ring_spec_issued: stats.ring_spec_issued.get(),
             ring_spec_absorbed: stats.ring_spec_absorbed.get(),
             ring_spec_cancelled: stats.ring_spec_cancelled.get(),
             ring_spec_pages_charged: stats.ring_spec_pages_charged.get(),
-            ring_timer_fires: stats.ring_timer_fires.get(),
             range_index_kind: runtime.range_index_kind(),
             range_index_depth: index_stats.depth,
             range_index_leaves: index_stats.leaves,
@@ -493,27 +456,6 @@ impl RuntimeReport {
             prefetch_runs_coalesced: self
                 .prefetch_runs_coalesced
                 .saturating_sub(earlier.prefetch_runs_coalesced),
-            batches_flushed: self.batches_flushed.saturating_sub(earlier.batches_flushed),
-            batch_flush_full: self
-                .batch_flush_full
-                .saturating_sub(earlier.batch_flush_full),
-            batch_flush_deadline: self
-                .batch_flush_deadline
-                .saturating_sub(earlier.batch_flush_deadline),
-            batch_flush_explicit: self
-                .batch_flush_explicit
-                .saturating_sub(earlier.batch_flush_explicit),
-            batch_runs_submitted: self
-                .batch_runs_submitted
-                .saturating_sub(earlier.batch_runs_submitted),
-            batch_runs_merged: self
-                .batch_runs_merged
-                .saturating_sub(earlier.batch_runs_merged),
-            batch_crossings_saved: self
-                .batch_crossings_saved
-                .saturating_sub(earlier.batch_crossings_saved),
-            ra_batch_calls: self.ra_batch_calls.saturating_sub(earlier.ra_batch_calls),
-            batch_occupancy: self.batch_occupancy.delta(&earlier.batch_occupancy),
             engine: self.engine,
             engine_assoc_runs: self
                 .engine_assoc_runs
@@ -532,12 +474,6 @@ impl RuntimeReport {
             ring_absorbed_reads: self
                 .ring_absorbed_reads
                 .saturating_sub(earlier.ring_absorbed_reads),
-            ring_demand_batch_calls: self
-                .ring_demand_batch_calls
-                .saturating_sub(earlier.ring_demand_batch_calls),
-            ring_staged_runs_piggybacked: self
-                .ring_staged_runs_piggybacked
-                .saturating_sub(earlier.ring_staged_runs_piggybacked),
             ring_spec_issued: self
                 .ring_spec_issued
                 .saturating_sub(earlier.ring_spec_issued),
@@ -550,9 +486,6 @@ impl RuntimeReport {
             ring_spec_pages_charged: self
                 .ring_spec_pages_charged
                 .saturating_sub(earlier.ring_spec_pages_charged),
-            ring_timer_fires: self
-                .ring_timer_fires
-                .saturating_sub(earlier.ring_timer_fires),
             range_index_kind: self.range_index_kind,
             range_index_depth: self.range_index_depth,
             range_index_leaves: self.range_index_leaves,
@@ -788,19 +721,6 @@ impl RuntimeReport {
             "prefetch_runs_coalesced",
             self.prefetch_runs_coalesced,
         );
-        // Batched submission (all-zero when `batch_submit` is off, so the
-        // section's presence never depends on configuration).
-        out.push_str("\"batching\":{");
-        push_field(&mut out, "batches_flushed", self.batches_flushed);
-        push_field(&mut out, "flush_full", self.batch_flush_full);
-        push_field(&mut out, "flush_deadline", self.batch_flush_deadline);
-        push_field(&mut out, "flush_explicit", self.batch_flush_explicit);
-        push_field(&mut out, "runs_submitted", self.batch_runs_submitted);
-        push_field(&mut out, "runs_merged", self.batch_runs_merged);
-        push_field(&mut out, "crossings_saved", self.batch_crossings_saved);
-        push_field(&mut out, "ra_batch_calls", self.ra_batch_calls);
-        out.push_str(&json_hist("occupancy", &self.batch_occupancy));
-        out.push_str("},");
         // Prediction-engine accounting (all-zero under the strided
         // default, so the section's presence never depends on the knob).
         out.push_str("\"engines\":{");
@@ -848,17 +768,13 @@ impl RuntimeReport {
         out.push_str("\"ring\":{");
         out.push_str(&format!("\"enabled\":{},", self.ring_enabled));
         push_field(&mut out, "absorbed_reads", self.ring_absorbed_reads);
-        push_field(&mut out, "demand_batch_calls", self.ring_demand_batch_calls);
-        push_field(
-            &mut out,
-            "staged_runs_piggybacked",
-            self.ring_staged_runs_piggybacked,
-        );
         push_field(&mut out, "spec_issued", self.ring_spec_issued);
         push_field(&mut out, "spec_absorbed", self.ring_spec_absorbed);
         push_field(&mut out, "spec_cancelled", self.ring_spec_cancelled);
-        push_field(&mut out, "spec_pages_charged", self.ring_spec_pages_charged);
-        out.push_str(&format!("\"timer_fires\":{}", self.ring_timer_fires));
+        out.push_str(&format!(
+            "\"spec_pages_charged\":{}",
+            self.ring_spec_pages_charged
+        ));
         out.push_str("},");
         // Range-index structure (additive; depth/leaves describe current
         // shape, the rest are monotone event counters).
@@ -1149,35 +1065,15 @@ impl fmt::Display for RuntimeReport {
                 self.prefetch_runs_coalesced
             )?;
         }
-        if self.batches_flushed > 0 {
+        if self.ring_enabled || self.ring_absorbed_reads > 0 {
             writeln!(
                 f,
-                "batching   : {} batches ({} runs, {} merged), {} crossings saved ({} full / {} deadline / {} explicit)",
-                self.batches_flushed,
-                self.batch_runs_submitted,
-                self.batch_runs_merged,
-                self.batch_crossings_saved,
-                self.batch_flush_full,
-                self.batch_flush_deadline,
-                self.batch_flush_explicit
-            )?;
-        }
-        if self.ring_enabled
-            || self.ring_absorbed_reads > 0
-            || self.ring_demand_batch_calls > 0
-            || self.ring_timer_fires > 0
-        {
-            writeln!(
-                f,
-                "ring       : {} absorbed reads, {} batch crossings ({} piggybacked runs), spec {} issued / {} absorbed / {} cancelled ({} pages charged), {} timer fires",
+                "ring       : {} absorbed reads, spec {} issued / {} absorbed / {} cancelled ({} pages charged)",
                 self.ring_absorbed_reads,
-                self.ring_demand_batch_calls,
-                self.ring_staged_runs_piggybacked,
                 self.ring_spec_issued,
                 self.ring_spec_absorbed,
                 self.ring_spec_cancelled,
-                self.ring_spec_pages_charged,
-                self.ring_timer_fires
+                self.ring_spec_pages_charged
             )?;
         }
         if self.engine != "strided" || self.engine_assoc_runs > 0 || self.engine_mining_passes > 0 {
@@ -1367,7 +1263,7 @@ mod tests {
         }
         let json = RuntimeReport::collect(&rt).to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"schema_version\":1"));
+        assert!(json.contains("\"schema_version\":2"));
         assert!(json.contains("\"read_cache_hit_ns\""));
         assert!(json.contains("\"prefetch_quality\""));
         // Balanced braces and quotes — cheap structural sanity without a

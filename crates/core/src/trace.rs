@@ -27,8 +27,7 @@ use simclock::Counter;
 use simos::{InodeId, OsTraceEvent, OsTraceSink};
 
 use crate::metrics::ReadClass;
-use crate::predictor::AccessPattern;
-use crate::ring::FlushReason;
+use predict::AccessPattern;
 
 /// Default ring capacity (events).
 pub const DEFAULT_TRACE_CAPACITY: usize = 64 * 1024;
@@ -202,23 +201,6 @@ pub enum TraceEventKind {
         /// Pages covered.
         pages: u64,
     },
-    /// A submission batch was flushed to the vectored OS path.
-    BatchFlushed {
-        /// Entries the batch carried.
-        runs: u64,
-        /// Pages the entries covered.
-        pages: u64,
-        /// What triggered the flush.
-        reason: FlushReason,
-    },
-    /// One combined ring crossing (bridged): demand reads and staged
-    /// prefetch entries submitted as a single vectored syscall.
-    RingCrossing {
-        /// Demand-read entries the crossing carried.
-        demand_entries: u64,
-        /// Staged prefetch entries piggybacked on the crossing.
-        ra_entries: u64,
-    },
     /// A demand read was absorbed by the ring without a syscall crossing
     /// (fully cached, confirmed via the shared bitmap, or a matching
     /// speculative pre-issue).
@@ -279,8 +261,6 @@ impl TraceEventKind {
             TraceEventKind::PrefetchAbandoned { .. } => "prefetch-abandoned",
             TraceEventKind::VisibilityDowngraded { .. } => "visibility-downgraded",
             TraceEventKind::ReadError { .. } => "read-error",
-            TraceEventKind::BatchFlushed { .. } => "batch-flushed",
-            TraceEventKind::RingCrossing { .. } => "ring-crossing",
             TraceEventKind::RingAbsorbed { .. } => "ring-absorbed",
             TraceEventKind::RingSpecIssued { .. } => "ring-spec-issued",
             TraceEventKind::RingSpecCancelled { .. } => "ring-spec-cancelled",
@@ -412,17 +392,6 @@ impl fmt::Display for TraceEvent {
                 start_page,
                 pages,
             } => write!(f, "ino={} pages={}+{}", ino.0, start_page, pages),
-            TraceEventKind::BatchFlushed {
-                runs,
-                pages,
-                reason,
-            } => {
-                write!(f, "runs={} pages={} reason={}", runs, pages, reason.name())
-            }
-            TraceEventKind::RingCrossing {
-                demand_entries,
-                ra_entries,
-            } => write!(f, "demand={demand_entries} ra={ra_entries}"),
             TraceEventKind::RingAbsorbed {
                 ino,
                 start_page,
@@ -607,13 +576,6 @@ impl OsTraceSink for TraceLog {
             } => TraceEventKind::OsReclaim {
                 target_pages,
                 freed_pages,
-            },
-            OsTraceEvent::ReadBatch {
-                demand_entries,
-                ra_entries,
-            } => TraceEventKind::RingCrossing {
-                demand_entries,
-                ra_entries,
             },
         };
         self.emit(ts_ns, kind);

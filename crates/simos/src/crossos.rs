@@ -22,7 +22,6 @@ use crate::cache::PAGES_PER_WORD;
 use crate::error::IoError;
 use crate::os::{Fd, Os, PAGE_SIZE};
 use crate::trace::OsSpanKind;
-use simfs::InodeId;
 
 /// Request structure for [`Os::readahead_info`] — the `info` parameter of
 /// the paper's Listing 1, input half.
@@ -348,505 +347,6 @@ impl Os {
             file_misses: cache.misses.get(),
         })
     }
-}
-
-/// One entry of a batched prefetch submission ([`Os::try_readahead_batch`]):
-/// a `readahead_info`-style prefetch request over a byte range of one
-/// descriptor. Entries are the submission-queue elements; the matching
-/// [`RaBatchCompletion`] is the completion-queue element.
-#[derive(Debug, Clone, Copy)]
-pub struct RaBatchEntry {
-    /// Descriptor whose file the range belongs to.
-    pub fd: Fd,
-    /// Byte offset of the range to prefetch.
-    pub offset: u64,
-    /// Byte length of the range to prefetch.
-    pub len: u64,
-    /// Per-entry prefetch limit override (pages), as
-    /// [`RaInfoRequest::limit_pages`]; `None` uses the OS readahead cap.
-    pub limit_pages: Option<u64>,
-}
-
-impl RaBatchEntry {
-    /// A prefetch entry over a byte range with the default limit.
-    pub fn new(fd: Fd, offset: u64, len: u64) -> Self {
-        Self {
-            fd,
-            offset,
-            len,
-            limit_pages: None,
-        }
-    }
-
-    /// Sets the §4.7 limit override for this entry.
-    pub fn with_limit_pages(mut self, pages: u64) -> Self {
-        self.limit_pages = Some(pages);
-        self
-    }
-}
-
-/// Per-entry completion of a batched submission, index-matched to the
-/// submitted [`RaBatchEntry`] slice.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RaBatchCompletion {
-    /// Pages of the entry's range already cached at submission time.
-    pub cached_pages: u64,
-    /// Pages of the entry's range newly scheduled for prefetch.
-    pub initiated_pages: u64,
-    /// Virtual time at which this entry's initiated I/O completes
-    /// (0 when nothing was initiated).
-    pub ready_at_ns: u64,
-    /// Whether the entry was merged into an adjacent run of the same
-    /// inode before hitting the device. Merged entries are still fully
-    /// serviced — the merge only saves per-request device overhead.
-    pub merged: bool,
-    /// Transient failure of this entry's merged device run, if any.
-    /// Per-run all-or-nothing: the entry initiated nothing and a retry
-    /// re-covers its whole range.
-    pub error: Option<IoError>,
-}
-
-/// A member of one per-inode merged run: index into the caller's entry
-/// slice plus its clamped page range and limit.
-struct BatchMember {
-    idx: usize,
-    p0: u64,
-    p1: u64,
-    cap: u64,
-}
-
-/// Pages of `[s, e)` overlapping `[a, b)`.
-fn overlap(s: u64, e: u64, a: u64, b: u64) -> u64 {
-    e.min(b).saturating_sub(s.max(a))
-}
-
-/// Removes `[a, b)` from the disjoint sorted range set, returning how
-/// many pages were claimed. Ranges partially covered are split so every
-/// page is claimed at most once across calls.
-fn claim_overlap(ranges: &mut Vec<(u64, u64)>, a: u64, b: u64) -> u64 {
-    let mut claimed = 0u64;
-    let mut next: Vec<(u64, u64)> = Vec::with_capacity(ranges.len() + 1);
-    for &(s, e) in ranges.iter() {
-        let took = overlap(s, e, a, b);
-        if took == 0 {
-            next.push((s, e));
-            continue;
-        }
-        claimed += took;
-        if s < a {
-            next.push((s, a));
-        }
-        if e > b {
-            next.push((b, e));
-        }
-    }
-    *ranges = next;
-    claimed
-}
-
-impl Os {
-    /// Batched prefetch submission — the vectored form of
-    /// [`Os::try_readahead_info`] (SQ/CQ model). The caller hands over a
-    /// whole submission queue of prefetch entries; the OS charges **one**
-    /// syscall crossing for the batch, groups entries by inode, merges
-    /// adjacent runs (gap at most one OS readahead window), issues one
-    /// vectored prefetch-class device submission per merged run, publishes
-    /// each inode's bitmap once, and returns per-entry completions so the
-    /// caller's per-run retry/degradation machinery still operates on
-    /// individual entries.
-    ///
-    /// Unlike `readahead_info` there is no bitmap export: the completion
-    /// queue carries counts only, keeping the crossing cheap.
-    ///
-    /// # Errors
-    ///
-    /// [`IoError::Unsupported`] when the kernel lacks CROSS-OS
-    /// ([`crate::OsConfig::readahead_info_supported`] is `false`): the
-    /// whole batch is rejected after the one failed probe crossing.
-    /// Transient device faults are **not** batch errors — they surface
-    /// per entry via [`RaBatchCompletion::error`], failing only the
-    /// members of the faulted merged run.
-    pub fn try_readahead_batch(
-        &self,
-        clock: &mut ThreadClock,
-        entries: &[RaBatchEntry],
-    ) -> Result<Vec<RaBatchCompletion>, IoError> {
-        if !self.config().readahead_info_supported {
-            clock.advance(self.config().costs.syscall_ns);
-            self.stats().syscalls.incr();
-            self.stats().ra_info_unsupported.incr();
-            return Err(IoError::Unsupported);
-        }
-        clock.advance(self.config().costs.syscall_ns);
-        self.stats().syscalls.incr();
-        self.stats().ra_batch_calls.incr();
-        Ok(self.readahead_batch_body(clock, entries))
-    }
-
-    /// The crossing-free body of the vectored prefetch path: grouping,
-    /// merging, device submission, and publication exactly as
-    /// [`Os::try_readahead_batch`], without the boundary charge or the
-    /// `syscalls`/`ra_batch_calls` counters. The combined ring crossing
-    /// ([`Os::try_read_batch`]) runs staged prefetch entries through this
-    /// body after its demand half, sharing one syscall charge.
-    pub(crate) fn readahead_batch_body(
-        &self,
-        clock: &mut ThreadClock,
-        entries: &[RaBatchEntry],
-    ) -> Vec<RaBatchCompletion> {
-        let costs = &self.config().costs;
-        let mut completions = vec![RaBatchCompletion::default(); entries.len()];
-
-        // Group entries by inode, first-appearance order (deterministic).
-        let mut inodes: Vec<InodeId> = Vec::new();
-        let mut groups: Vec<Vec<BatchMember>> = Vec::new();
-        for (idx, entry) in entries.iter().enumerate() {
-            let ino = self.fd_entry(entry.fd).ino;
-            let file_pages = self.fs().size(ino).div_ceil(PAGE_SIZE);
-            let p0 = (entry.offset / PAGE_SIZE).min(file_pages);
-            let p1 = ((entry.offset + entry.len).div_ceil(PAGE_SIZE)).min(file_pages);
-            let cap = entry
-                .limit_pages
-                .unwrap_or(self.config().ra_max_pages)
-                .min(self.config().crossos_max_prefetch_pages)
-                .max(1);
-            let gi = inodes.iter().position(|&i| i == ino).unwrap_or_else(|| {
-                inodes.push(ino);
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
-            groups[gi].push(BatchMember { idx, p0, p1, cap });
-        }
-
-        // Device I/O accumulates off the caller's critical path on one
-        // detached clock: the batch is a single submission stream, so its
-        // merged runs issue back to back exactly like the splits of one
-        // large transfer.
-        let mut io_clock = ThreadClock::detached_at(Arc::clone(self.global()), clock.now());
-        let merge_gap = self.config().ra_max_pages;
-        let ceiling = self.config().crossos_max_prefetch_pages;
-        let spans = self.span_sink();
-
-        for (ino, mut members) in inodes.into_iter().zip(groups) {
-            let cache = self.cache(ino);
-            members.sort_by_key(|m| (m.p0, m.p1));
-
-            // Merge adjacent member ranges into submission runs: (start,
-            // end, page budget, member indices).
-            let mut runs: Vec<(u64, u64, u64, Vec<usize>)> = Vec::new();
-            for (mi, m) in members.iter().enumerate() {
-                if m.p1 <= m.p0 {
-                    continue;
-                }
-                match runs.last_mut() {
-                    Some(run) if m.p0 <= run.1.saturating_add(merge_gap) => {
-                        run.1 = run.1.max(m.p1);
-                        run.2 = run.2.saturating_add(m.cap).min(ceiling);
-                        run.3.push(mi);
-                        completions[m.idx].merged = true;
-                    }
-                    _ => runs.push((m.p0, m.p1, m.cap, vec![mi])),
-                }
-            }
-            if runs.is_empty() {
-                continue;
-            }
-
-            // Fast path: one bitmap read scan per inode over the merged
-            // spans — never the cache-tree lock.
-            let scan_pages: u64 = runs.iter().map(|r| r.1 - r.0).sum();
-            let scan = cache
-                .bitmap_lock
-                .read(clock.now(), costs.bitmap_scan_ns(scan_pages));
-            clock.advance_to(scan.end_ns);
-            if scan.wait_ns > 0 {
-                if let Some(sink) = spans {
-                    sink.emit_os_span(scan.end_ns, OsSpanKind::BitmapLockWait, scan.wait_ns);
-                }
-            }
-
-            let mut inserted: Vec<(u64, u64, u64)> = Vec::new();
-            let mut publish_pages = 0u64;
-            for run in &runs {
-                let missing = cache.state.read().missing_runs(run.0, run.1);
-                for &mi in &run.3 {
-                    let m = &members[mi];
-                    let missing_in_member: u64 = missing
-                        .iter()
-                        .map(|&(s, e)| overlap(s, e, m.p0, m.p1))
-                        .sum();
-                    completions[m.idx].cached_pages = (m.p1 - m.p0) - missing_in_member;
-                }
-                let mut budget = run.2;
-                let mut scheduled: Vec<(u64, u64)> = Vec::new();
-                for &(s, e) in &missing {
-                    if budget == 0 {
-                        break;
-                    }
-                    let take = (e - s).min(budget);
-                    scheduled.push((s, s + take));
-                    budget -= take;
-                }
-                if scheduled.is_empty() {
-                    continue;
-                }
-
-                // One vectored submission per device carries the run's
-                // physical block runs: one fixed latency, one congestion
-                // check, one fault draw per device touched (a single
-                // submission on the un-tiered path).
-                let before = io_clock.now();
-                let mut vec_fault = false;
-                match self.tiered() {
-                    None => {
-                        let mut block_runs: Vec<u64> = Vec::new();
-                        for &(s, e) in &scheduled {
-                            for blk in self.fs().map_blocks(ino, s, e - s) {
-                                block_runs.push(blk.blocks);
-                            }
-                        }
-                        vec_fault = self
-                            .device()
-                            .try_charge_read_vectored(
-                                &mut io_clock,
-                                &block_runs,
-                                IoPriority::Prefetch,
-                            )
-                            .is_err();
-                    }
-                    Some(tiered) => {
-                        let mut local_runs: Vec<u64> = Vec::new();
-                        let mut remote_runs: Vec<u64> = Vec::new();
-                        for &(s, e) in &scheduled {
-                            for (ts, tc, tier) in tiered.split_runs(ino.0, s, e - s) {
-                                let dst = match tier {
-                                    simstore::Tier::Local => &mut local_runs,
-                                    simstore::Tier::Remote => &mut remote_runs,
-                                };
-                                for blk in self.fs().map_blocks(ino, ts, tc) {
-                                    dst.push(blk.blocks);
-                                }
-                            }
-                        }
-                        for (device, runs) in [
-                            (tiered.local(), &local_runs),
-                            (tiered.remote(), &remote_runs),
-                        ] {
-                            if runs.is_empty() {
-                                continue;
-                            }
-                            if device
-                                .try_charge_read_vectored(&mut io_clock, runs, IoPriority::Prefetch)
-                                .is_err()
-                            {
-                                vec_fault = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if vec_fault {
-                    // Per-run all-or-nothing: nothing of this run is
-                    // inserted or published; its members learn via the
-                    // completion queue and may retry individually.
-                    for &mi in &run.3 {
-                        completions[members[mi].idx].error = Some(IoError::Io);
-                    }
-                    continue;
-                }
-                let after = io_clock.now();
-                if after > before {
-                    if let Some(sink) = spans {
-                        sink.emit_os_span(after, OsSpanKind::DevicePrefetch, after - before);
-                    }
-                }
-
-                // The device streams the vector front to back: interpolate
-                // readiness across the scheduled pages so readers consume
-                // the head of the batch while its tail is in flight.
-                let total: u64 = scheduled.iter().map(|&(s, e)| e - s).sum();
-                let span = after.saturating_sub(before);
-                let mut done = 0u64;
-                for &(s, e) in &scheduled {
-                    let t0 = before + span * done / total.max(1);
-                    done += e - s;
-                    let t1 = before + span * done / total.max(1);
-                    push_interpolated_ready(&mut inserted, s, e, t0, t1);
-                }
-                // Bill every scheduled page to exactly one completion:
-                // each member *claims* (removes) its overlap from the
-                // scheduled set, so a page shared by overlapping members is
-                // billed once, and merge-gap pages — read, published, and
-                // flagged despite overlapping no member's byte range — go
-                // to the run's head member.
-                let mut unclaimed = scheduled.clone();
-                for &mi in &run.3 {
-                    let m = &members[mi];
-                    let init = claim_overlap(&mut unclaimed, m.p0, m.p1);
-                    completions[m.idx].initiated_pages = init;
-                    if init > 0 {
-                        completions[m.idx].ready_at_ns = after;
-                    }
-                }
-                let gap: u64 = unclaimed.iter().map(|&(s, e)| e - s).sum();
-                if gap > 0 {
-                    let head = &mut completions[members[run.3[0]].idx];
-                    head.initiated_pages += gap;
-                    head.ready_at_ns = after;
-                }
-                publish_pages += total;
-            }
-
-            // Publish once per inode after the whole walk.
-            if !inserted.is_empty() {
-                let publish_hold = costs.bitmap_lock_hold_ns + costs.bitmap_scan_ns(publish_pages);
-                let publish = cache.bitmap_lock.write(clock.now(), publish_hold);
-                clock.advance_to(publish.end_ns);
-                if publish.wait_ns > 0 {
-                    if let Some(sink) = spans {
-                        sink.emit_os_span(
-                            publish.end_ns,
-                            OsSpanKind::BitmapLockWait,
-                            publish.wait_ns,
-                        );
-                    }
-                }
-                let touch = clock.now() + PREFETCH_TOUCH_BIAS_NS;
-                let mut initiated_total = 0;
-                {
-                    let mut state = cache.state.write();
-                    for &(s, e, ready) in &inserted {
-                        initiated_total += state.insert_range_prefetched(s, e, touch, ready);
-                    }
-                }
-                self.stats().prefetched_pages.add(initiated_total);
-                if self.mem().note_inserted(initiated_total) {
-                    self.reclaim(clock);
-                }
-            }
-        }
-
-        completions
-    }
-}
-
-/// One demand-read entry of a combined ring submission
-/// ([`Os::try_read_batch`]): a `read(2)`-shaped request that crosses
-/// alongside staged prefetch entries.
-#[derive(Debug, Clone, Copy)]
-pub struct ReadBatchEntry {
-    /// Descriptor to read from.
-    pub fd: Fd,
-    /// Byte offset of the read.
-    pub offset: u64,
-    /// Byte length of the read.
-    pub len: u64,
-}
-
-impl ReadBatchEntry {
-    /// A demand-read entry over a byte range.
-    pub fn new(fd: Fd, offset: u64, len: u64) -> Self {
-        Self { fd, offset, len }
-    }
-}
-
-/// The CQ of one combined ring crossing: per-demand-entry outcomes paired
-/// with per-prefetch-entry completions.
-pub type ReadBatchResult<E> = (
-    Vec<Result<crate::os::ReadOutcome, E>>,
-    Vec<RaBatchCompletion>,
-);
-
-impl Os {
-    /// Combined ring crossing: demand reads and staged prefetch entries
-    /// submitted as **one** vectored syscall (the io_uring-style shared
-    /// SQ). The demand half runs each entry through the full read-path
-    /// body (classification, ready-wait, synchronous demand fill,
-    /// heuristic-readahead tail) on the caller's clock — demand misses
-    /// stay on the critical path exactly as `read(2)` — while the
-    /// prefetch half reuses the vectored [`Os::try_readahead_batch`] body
-    /// off the critical path. Only one `syscall_ns` boundary charge is
-    /// paid for the whole submission.
-    ///
-    /// Demand entries never consult the fault plan (the infallible
-    /// discipline of [`Os::read_charge`]); prefetch-half device faults
-    /// surface per entry via [`RaBatchCompletion::error`].
-    ///
-    /// # Errors
-    ///
-    /// [`IoError::Unsupported`] when the kernel lacks CROSS-OS
-    /// ([`crate::OsConfig::readahead_info_supported`] is `false`): the
-    /// whole submission is rejected after the one failed probe crossing
-    /// and nothing runs.
-    pub fn read_batch(
-        &self,
-        clock: &mut ThreadClock,
-        demand: &[ReadBatchEntry],
-        prefetch: &[RaBatchEntry],
-    ) -> Result<(Vec<crate::os::ReadOutcome>, Vec<RaBatchCompletion>), IoError> {
-        self.read_batch_impl::<crate::os::NeverFault>(clock, demand, prefetch)
-            .map(|(outcomes, completions)| {
-                (
-                    outcomes.into_iter().map(crate::os::into_ok).collect(),
-                    completions,
-                )
-            })
-    }
-
-    /// Fallible variant of [`Os::read_batch`]: demand entries consult the
-    /// fault plan ([`Os::try_read_charge`] semantics, per entry), so each
-    /// demand outcome is its own `Result`.
-    ///
-    /// # Errors
-    ///
-    /// [`IoError::Unsupported`] as for [`Os::read_batch`]. Transient
-    /// demand-fill faults surface per demand entry; prefetch faults per
-    /// prefetch entry.
-    pub fn try_read_batch(
-        &self,
-        clock: &mut ThreadClock,
-        demand: &[ReadBatchEntry],
-        prefetch: &[RaBatchEntry],
-    ) -> Result<ReadBatchResult<IoError>, IoError> {
-        self.read_batch_impl::<crate::os::MayFault>(clock, demand, prefetch)
-    }
-
-    fn read_batch_impl<F: crate::os::FaultMode>(
-        &self,
-        clock: &mut ThreadClock,
-        demand: &[ReadBatchEntry],
-        prefetch: &[RaBatchEntry],
-    ) -> Result<ReadBatchResult<F::Error>, IoError> {
-        if !self.config().readahead_info_supported {
-            clock.advance(self.config().costs.syscall_ns);
-            self.stats().syscalls.incr();
-            self.stats().ra_info_unsupported.incr();
-            return Err(IoError::Unsupported);
-        }
-        clock.advance(self.config().costs.syscall_ns);
-        self.stats().syscalls.incr();
-        self.stats().read_batch_calls.incr();
-        if let Some(sink) = self.trace_sink() {
-            sink.emit_os_event(
-                clock.now(),
-                crate::trace::OsTraceEvent::ReadBatch {
-                    demand_entries: demand.len() as u64,
-                    ra_entries: prefetch.len() as u64,
-                },
-            );
-        }
-        // Demand first: with the ring disabled, staged batches still
-        // waiting on their deadline flush *after* the triggering read, so
-        // the demand fill covers its own misses and the later flush
-        // deduplicates against them. Running the demand half first keeps
-        // that ordering — and thus the hit/miss accounting — identical.
-        let outcomes = demand
-            .iter()
-            .map(|entry| self.read_charge_body::<F>(clock, entry.fd, entry.offset, entry.len))
-            .collect();
-        let completions = self.readahead_batch_body(clock, prefetch);
-        Ok((outcomes, completions))
-    }
 
     /// Completion-ring absorption of a fully cached demand read: the
     /// user-level runtime believes `[offset, offset+len)` is resident, and
@@ -857,6 +357,9 @@ impl Os {
     /// in-flight readiness is far enough out that the syscall path's
     /// demand-bypass would be faster — the caller then falls back to the
     /// normal crossing, keeping cache accounting identical either way.
+    /// Also `None` on a kernel without CROSS-OS
+    /// ([`crate::OsConfig::readahead_info_supported`] is `false`): there
+    /// is no exported bitmap to confirm against.
     pub fn absorb_read(
         &self,
         clock: &mut ThreadClock,
@@ -864,6 +367,9 @@ impl Os {
         offset: u64,
         len: u64,
     ) -> Option<crate::os::ReadOutcome> {
+        if !self.config().readahead_info_supported {
+            return None;
+        }
         let costs = &self.config().costs;
         let entry = self.fd_entry(fd);
         let cache = self.cache(entry.ino);
@@ -1236,215 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_charges_one_crossing_for_many_entries() {
-        let (os, fd, mut clock) = os_with_file(8 << 20);
-        let syscalls_before = os.stats().syscalls.get();
-        // Four disjoint far-apart runs (beyond the merge gap) of 32 pages.
-        let stride = (os.config().ra_max_pages + 64) * PAGE_SIZE;
-        let entries: Vec<RaBatchEntry> = (0..4)
-            .map(|i| RaBatchEntry::new(fd, i * stride, 32 * PAGE_SIZE).with_limit_pages(32))
-            .collect();
-        let completions = os.try_readahead_batch(&mut clock, &entries).unwrap();
-        assert_eq!(os.stats().syscalls.get() - syscalls_before, 1);
-        assert_eq!(os.stats().ra_batch_calls.get(), 1);
-        assert_eq!(completions.len(), 4);
-        for c in &completions {
-            assert_eq!(c.initiated_pages, 32);
-            assert_eq!(c.cached_pages, 0);
-            assert!(!c.merged);
-            assert!(c.error.is_none());
-            assert!(c.ready_at_ns > 0);
-        }
-        assert_eq!(os.stats().prefetched_pages.get(), 128);
-    }
-
-    #[test]
-    fn batch_merges_adjacent_runs_into_one_device_submission() {
-        let (os, fd, mut clock) = os_with_file(8 << 20);
-        let entries: Vec<RaBatchEntry> = (0..4)
-            .map(|i| RaBatchEntry::new(fd, i * 32 * PAGE_SIZE, 32 * PAGE_SIZE).with_limit_pages(32))
-            .collect();
-        let completions = os.try_readahead_batch(&mut clock, &entries).unwrap();
-        assert_eq!(os.device().stats().vectored_submissions.get(), 1);
-        assert!(!completions[0].merged);
-        assert!(completions[1..].iter().all(|c| c.merged));
-        let total: u64 = completions.iter().map(|c| c.initiated_pages).sum();
-        assert_eq!(total, 128);
-    }
-
-    #[test]
-    fn batch_billing_is_closed_over_gaps_and_overlaps() {
-        // Two entries within the merge gap (the pages between them get
-        // scheduled as part of the merged run) plus a third overlapping
-        // the first: the completions must bill every physically initiated
-        // page exactly once — gap pages to the head member, shared pages
-        // to whichever member claims them first — so the caller's
-        // `pages_initiated` ledger matches the OS's prefetch flags.
-        let (os, fd, mut clock) = os_with_file(64 << 20);
-        let gap = os.config().ra_max_pages / 2;
-        let entries = [
-            RaBatchEntry::new(fd, 0, 32 * PAGE_SIZE).with_limit_pages(256),
-            RaBatchEntry::new(fd, (32 + gap) * PAGE_SIZE, 32 * PAGE_SIZE).with_limit_pages(256),
-            RaBatchEntry::new(fd, 16 * PAGE_SIZE, 32 * PAGE_SIZE).with_limit_pages(256),
-        ];
-        let completions = os.try_readahead_batch(&mut clock, &entries).unwrap();
-        assert!(completions.iter().all(|c| c.error.is_none()));
-        let billed: u64 = completions.iter().map(|c| c.initiated_pages).sum();
-        assert_eq!(
-            billed,
-            os.stats().prefetched_pages.get(),
-            "vectored billing must equal physically initiated pages"
-        );
-        // The whole merged span [0, 64+gap) was read: gap pages included.
-        assert_eq!(billed, 64 + gap);
-    }
-
-    #[test]
-    fn claim_overlap_splits_and_never_double_claims() {
-        let mut ranges = vec![(0u64, 10u64), (20, 30)];
-        assert_eq!(claim_overlap(&mut ranges, 5, 25), 10);
-        assert_eq!(ranges, vec![(0, 5), (25, 30)]);
-        // A second claim over the same span finds nothing left.
-        assert_eq!(claim_overlap(&mut ranges, 5, 25), 0);
-        assert_eq!(claim_overlap(&mut ranges, 0, 30), 10);
-        assert!(ranges.is_empty());
-    }
-
-    #[test]
-    fn batch_entries_for_distinct_files_do_not_merge() {
-        let (os, fd_a, mut clock) = os_with_file(4 << 20);
-        let fd_b = os.create_sized(&mut clock, "/g", 4 << 20).unwrap();
-        let entries = [
-            RaBatchEntry::new(fd_a, 0, 32 * PAGE_SIZE).with_limit_pages(32),
-            RaBatchEntry::new(fd_b, 0, 32 * PAGE_SIZE).with_limit_pages(32),
-        ];
-        let completions = os.try_readahead_batch(&mut clock, &entries).unwrap();
-        assert_eq!(os.device().stats().vectored_submissions.get(), 2);
-        assert!(completions.iter().all(|c| !c.merged));
-        assert!(completions.iter().all(|c| c.initiated_pages == 32));
-    }
-
-    #[test]
-    fn batch_matches_unbatched_initiated_pages_with_fewer_crossings() {
-        let mk = || os_with_file(8 << 20);
-
-        let (batched_os, bfd, mut bclock) = mk();
-        let entries: Vec<RaBatchEntry> = (0..4)
-            .map(|i| {
-                RaBatchEntry::new(bfd, i * 64 * PAGE_SIZE, 64 * PAGE_SIZE).with_limit_pages(64)
-            })
-            .collect();
-        let completions = batched_os
-            .try_readahead_batch(&mut bclock, &entries)
-            .unwrap();
-        let batched_pages: u64 = completions.iter().map(|c| c.initiated_pages).sum();
-
-        let (plain_os, pfd, mut pclock) = mk();
-        let mut plain_pages = 0;
-        for i in 0..4u64 {
-            let info = plain_os.readahead_info(
-                &mut pclock,
-                pfd,
-                RaInfoRequest::prefetch(i * 64 * PAGE_SIZE, 64 * PAGE_SIZE).with_limit_pages(64),
-            );
-            plain_pages += info.initiated_pages;
-        }
-        assert_eq!(batched_pages, plain_pages);
-        assert!(batched_os.stats().syscalls.get() < plain_os.stats().syscalls.get());
-    }
-
-    #[test]
-    fn unsupported_kernel_rejects_whole_batch() {
-        let mut config = OsConfig::with_memory_mb(64);
-        config.readahead_info_supported = false;
-        let os = Os::new(
-            config,
-            Device::new(DeviceConfig::local_nvme()),
-            FileSystem::new(FsKind::Ext4Like),
-        );
-        let mut clock = os.new_clock();
-        let fd = os.create_sized(&mut clock, "/f", 1 << 20).unwrap();
-        let err = os
-            .try_readahead_batch(&mut clock, &[RaBatchEntry::new(fd, 0, 1 << 20)])
-            .unwrap_err();
-        assert_eq!(err, IoError::Unsupported);
-        assert_eq!(os.stats().ra_info_unsupported.get(), 1);
-        assert_eq!(os.device().stats().read_bytes.get(), 0);
-    }
-
-    #[test]
-    fn batch_fault_fails_entries_not_the_batch() {
-        use simstore::FaultPlan;
-        let os = Os::new(
-            OsConfig::with_memory_mb(256),
-            Device::with_fault_plan(
-                DeviceConfig::local_nvme(),
-                FaultPlan::seeded(3).with_prefetch_eio(1.0),
-            ),
-            FileSystem::new(FsKind::Ext4Like),
-        );
-        let mut clock = os.new_clock();
-        let fd = os.create_sized(&mut clock, "/f", 4 << 20).unwrap();
-        let entries = [
-            RaBatchEntry::new(fd, 0, 32 * PAGE_SIZE).with_limit_pages(32),
-            RaBatchEntry::new(fd, 32 * PAGE_SIZE, 32 * PAGE_SIZE).with_limit_pages(32),
-        ];
-        // The call itself succeeds; the faulted run surfaces per entry.
-        let completions = os.try_readahead_batch(&mut clock, &entries).unwrap();
-        assert!(completions.iter().all(|c| c.error == Some(IoError::Io)));
-        assert!(completions.iter().all(|c| c.initiated_pages == 0));
-        // All-or-nothing per run: nothing was inserted.
-        let info = os
-            .try_readahead_info(&mut clock, fd, RaInfoRequest::query(0, 4 << 20))
-            .unwrap();
-        assert_eq!(info.cached_pages, 0);
-        assert_eq!(os.stats().prefetched_pages.get(), 0);
-    }
-
-    #[test]
-    fn read_batch_charges_one_crossing_for_demand_and_prefetch() {
-        let (os, fd, mut clock) = os_with_file(8 << 20);
-        let syscalls_before = os.stats().syscalls.get();
-        let demand = [ReadBatchEntry::new(fd, 0, 64 * 1024)];
-        let stride = (os.config().ra_max_pages + 64) * PAGE_SIZE;
-        let prefetch = [
-            RaBatchEntry::new(fd, stride, 32 * PAGE_SIZE).with_limit_pages(32),
-            RaBatchEntry::new(fd, 2 * stride, 32 * PAGE_SIZE).with_limit_pages(32),
-        ];
-        let (outcomes, completions) = os.read_batch(&mut clock, &demand, &prefetch).unwrap();
-        assert_eq!(os.stats().syscalls.get() - syscalls_before, 1);
-        assert_eq!(os.stats().read_batch_calls.get(), 1);
-        assert_eq!(os.stats().ra_batch_calls.get(), 0);
-        assert_eq!(outcomes.len(), 1);
-        assert_eq!(outcomes[0].pages, 16);
-        assert_eq!(outcomes[0].miss_pages, 16);
-        assert_eq!(completions.len(), 2);
-        assert!(completions.iter().all(|c| c.initiated_pages == 32));
-        // The demand read is an ordinary `read` body: its pages are
-        // resident afterwards, but `reads` (syscall crossings) stays 0.
-        assert_eq!(os.stats().reads.get(), 0);
-    }
-
-    #[test]
-    fn read_batch_unsupported_rejects_whole_submission() {
-        let mut config = OsConfig::with_memory_mb(64);
-        config.readahead_info_supported = false;
-        let os = Os::new(
-            config,
-            Device::new(DeviceConfig::local_nvme()),
-            FileSystem::new(FsKind::Ext4Like),
-        );
-        let mut clock = os.new_clock();
-        let fd = os.create_sized(&mut clock, "/f", 1 << 20).unwrap();
-        let err = os
-            .try_read_batch(&mut clock, &[ReadBatchEntry::new(fd, 0, 4096)], &[])
-            .unwrap_err();
-        assert_eq!(err, IoError::Unsupported);
-        assert_eq!(os.stats().ra_info_unsupported.get(), 1);
-        assert_eq!(os.device().stats().read_bytes.get(), 0);
-    }
-
-    #[test]
     fn absorb_read_serves_cached_range_without_crossing() {
         let (os, fd, mut clock) = os_with_file(4 << 20);
         // Nothing cached yet: absorb refuses, mutating nothing.
@@ -1471,6 +768,25 @@ mod tests {
         let again = os.absorb_read(&mut clock, fd, 0, 64 * 1024).unwrap();
         assert_eq!(again.prefetch_hit_pages, 0);
         assert_eq!(again.hit_pages, 16);
+    }
+
+    #[test]
+    fn absorb_read_declines_without_crossos() {
+        let mut config = OsConfig::with_memory_mb(64);
+        config.readahead_info_supported = false;
+        let os = Os::new(
+            config,
+            Device::new(DeviceConfig::local_nvme()),
+            FileSystem::new(FsKind::Ext4Like),
+        );
+        let mut clock = os.new_clock();
+        let fd = os.create_sized(&mut clock, "/f", 1 << 20).unwrap();
+        // Resident, yet no exported bitmap to confirm it against.
+        os.read_charge(&mut clock, fd, 0, 64 * 1024);
+        let before = clock.now();
+        assert!(os.absorb_read(&mut clock, fd, 0, 64 * 1024).is_none());
+        assert_eq!(clock.now(), before, "declining must charge nothing");
+        assert_eq!(os.stats().absorbed_reads.get(), 0);
     }
 
     #[test]

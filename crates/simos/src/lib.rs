@@ -57,10 +57,7 @@ pub mod trace;
 
 pub use cache::PrefetchQuality;
 pub use config::{OsConfig, WritebackConfig};
-pub use crossos::{
-    bitmap_has_page, RaBatchCompletion, RaBatchEntry, RaInfo, RaInfoRequest, ReadBatchEntry,
-    ReadBatchResult,
-};
+pub use crossos::{bitmap_has_page, RaInfo, RaInfoRequest};
 pub use error::IoError;
 pub use mmap::MmapOutcome;
 pub use os::{Advice, Fd, FdEntry, Os, ReadOutcome, PAGE_SIZE};

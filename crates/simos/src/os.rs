@@ -579,22 +579,6 @@ impl Os {
         clock.advance(self.config.costs.syscall_ns);
         self.stats.syscalls.incr();
         self.stats.reads.incr();
-        self.read_charge_body::<F>(clock, fd, offset, len)
-    }
-
-    /// The syscall-free body of the read path: identical cache walk,
-    /// classification, ready-wait, demand fill, and heuristic-readahead
-    /// tail as [`Os::read_charge`], without the boundary-crossing charge
-    /// or the `syscalls`/`reads` counters. The vectored
-    /// [`Os::try_read_batch`] runs each demand entry through this body
-    /// after charging one shared crossing for the whole batch.
-    pub(crate) fn read_charge_body<F: FaultMode>(
-        &self,
-        clock: &mut ThreadClock,
-        fd: Fd,
-        offset: u64,
-        len: u64,
-    ) -> Result<ReadOutcome, F::Error> {
         let costs = &self.config.costs;
         let spans = self.span_sink();
 

@@ -44,15 +44,6 @@ pub enum OsTraceEvent {
         /// Pages actually freed.
         freed_pages: u64,
     },
-    /// One combined ring crossing ([`crate::Os::try_read_batch`]): demand
-    /// reads and staged prefetch entries submitted as a single vectored
-    /// syscall.
-    ReadBatch {
-        /// Demand-read entries the crossing carried.
-        demand_entries: u64,
-        /// Staged prefetch entries piggybacked on the crossing.
-        ra_entries: u64,
-    },
 }
 
 /// Kinds of OS-side leaf spans bridged to the caller's span subsystem via

@@ -318,7 +318,6 @@ pub fn run_fleet(runtime: &Runtime, clock: &mut ThreadClock, cfg: &FleetConfig) 
         latencies[tenant].push(clock.now() - arrival);
         executed += 1;
     }
-    runtime.flush_prefetch_batches(clock);
 
     for (tenant, (row, lats)) in rows.iter_mut().zip(latencies.iter_mut()).enumerate() {
         lats.sort_unstable();

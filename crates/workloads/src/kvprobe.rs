@@ -128,7 +128,6 @@ pub fn run_kvprobe(
             data_reads += 1;
         }
     }
-    runtime.flush_prefetch_batches(clock);
     KvProbeResult {
         index_reads,
         data_reads,

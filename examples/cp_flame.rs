@@ -1,7 +1,7 @@
 //! cp_flame: folded-stack critical paths for the slowest reads.
 //!
 //! Runs the kvprobe workload (zipfian index-then-data probes) under the
-//! full mechanism with batched submission and the adaptive engine, with
+//! full mechanism with the completion-driven ring and the adaptive engine, with
 //! causal span tracing enabled, then emits the tail exemplars' span trees
 //! in Brendan Gregg's collapsed format — one `frame;frame;...frame count`
 //! line per folded stack, counts in virtual nanoseconds — ready for
@@ -9,8 +9,8 @@
 //!
 //! Stacks are rooted at `read-<latency-class>`; stage residuals fold
 //! under `stage:<name>`, synchronous waits under their stage, and
-//! off-critical-path work (worker jobs, prefetch device windows, batch
-//! flushes) under an `async` frame.
+//! off-critical-path work (worker jobs, prefetch device windows,
+//! speculative pre-issues) under an `async` frame.
 //!
 //! Usage:
 //!   cargo run --release --example cp_flame             # stacks to stdout
@@ -29,7 +29,7 @@ fn main() {
         FileSystem::new(FsKind::Ext4Like),
     );
     let mut config = RuntimeConfig::new(Mode::PredictOpt);
-    config.batch_submit = true;
+    config.ring_submit = true;
     config.engine = EngineKind::Adaptive;
     let runtime = Runtime::new(os, config);
     runtime.spans().set_enabled(true);

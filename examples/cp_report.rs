@@ -10,8 +10,7 @@
 use std::collections::BTreeMap;
 
 use crossprefetch::{
-    EngineKind, FlushReason, Mode, Runtime, RuntimeConfig, RuntimeReport, TraceEvent,
-    TraceEventKind,
+    EngineKind, Mode, Runtime, RuntimeConfig, RuntimeReport, TraceEvent, TraceEventKind,
 };
 use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
 
@@ -21,12 +20,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Device::new(DeviceConfig::local_nvme()),
         FileSystem::new(FsKind::Ext4Like),
     );
-    // Batched submission on, so the report's `batching` section carries
-    // real flush/merge/crossings-saved numbers; the adaptive prediction
+    // The completion-driven ring on, so the report's `ring` section
+    // carries real absorb/speculation numbers; the adaptive prediction
     // engine, so the per-file ownership timeline below has transfers to
     // show.
     let mut config = RuntimeConfig::new(Mode::PredictOpt);
-    config.batch_submit = true;
+    config.ring_submit = true;
     config.engine = EngineKind::Adaptive;
     let runtime = Runtime::new(os, config);
     runtime.trace().set_enabled(true);
@@ -66,9 +65,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Drain any still-staged submission batches before reporting.
-    runtime.flush_prefetch_batches(&mut clock);
-
     // 1. Machine-readable report.
     let report = RuntimeReport::collect(&runtime);
     let json = report.to_json();
@@ -107,11 +103,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n--- decision timeline (events per kind per ms slice) ---");
     print_timeline(&events);
 
-    // 4. Per-file engine ownership interleaved with batch flushes: every
-    //    duel the adaptive selector resolved with a change of winner,
-    //    plus each submission-batch flush with why it left its slot
-    //    ("size" = capacity, "deadline" = aged out, "drain" = explicit),
-    //    in virtual-time order.
+    // 4. Per-file engine ownership interleaved with ring speculation:
+    //    every duel the adaptive selector resolved with a change of
+    //    winner, plus each speculative pre-issue the ring dispatched and
+    //    each one a mispredict cancelled, in virtual-time order.
     println!("\n--- engine ownership timeline ---");
     let mut shown = 0;
     for event in &events {
@@ -120,19 +115,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 println!("{:>12} ns  ino={:<4} -> {engine}", event.ts_ns, ino.0);
                 shown += 1;
             }
-            TraceEventKind::BatchFlushed {
-                runs,
+            TraceEventKind::RingSpecIssued {
+                ino,
+                start_page,
                 pages,
-                reason,
             } => {
-                let why = match reason {
-                    FlushReason::Full => "size",
-                    FlushReason::Deadline => "deadline",
-                    FlushReason::Explicit => "drain",
-                };
                 println!(
-                    "{:>12} ns  batch-flush [{why}] {runs} runs, {pages} pages",
-                    event.ts_ns
+                    "{:>12} ns  ino={:<4} spec-issued pages {start_page}+{pages}",
+                    event.ts_ns, ino.0
+                );
+                shown += 1;
+            }
+            TraceEventKind::RingSpecCancelled {
+                ino,
+                start_page,
+                pages_charged,
+            } => {
+                println!(
+                    "{:>12} ns  ino={:<4} spec-cancelled at page {start_page}, {pages_charged} pages charged",
+                    event.ts_ns, ino.0
                 );
                 shown += 1;
             }
@@ -140,7 +141,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     if shown == 0 {
-        println!("(no ownership transfers or batch flushes)");
+        println!("(no ownership transfers or ring speculation)");
     }
     Ok(())
 }

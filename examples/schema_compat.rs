@@ -7,7 +7,7 @@
 //! `tenants`, and `tiering` sections, and compares the result byte-for-byte against the checked-in
 //! pre-span baseline (`tests/data/telemetry_schema_baseline.json`). Any
 //! other byte difference means a knob that should be inert changed the
-//! schema-v1 surface — including swapping the flat range tree for the B+
+//! schema surface — including swapping the flat range tree for the B+
 //! index, which must leave every pre-existing field byte-identical.
 //!
 //! Usage:
@@ -55,7 +55,6 @@ fn run_mode(mode: Mode) -> String {
             .wrapping_add(1442695040888963407);
         file.read_charge(&mut clock, (state % (15 << 20)) & !4095, chunk);
     }
-    runtime.flush_prefetch_batches(&mut clock);
     RuntimeReport::collect(&runtime).to_json()
 }
 

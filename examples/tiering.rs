@@ -60,7 +60,6 @@ fn main() {
         }
     }
     file.fsync(&mut clock);
-    runtime.flush_prefetch_batches(&mut clock);
 
     let report = RuntimeReport::collect(&runtime);
     std::fs::write(&out, report.to_json()).expect("write telemetry");

@@ -45,7 +45,6 @@ fn run_mixed_workload(config: RuntimeConfig) -> String {
             .wrapping_add(1442695040888963407);
         file.read_charge(&mut clock, (state % (47 << 20)) & !4095, chunk);
     }
-    runtime.flush_prefetch_batches(&mut clock);
     RuntimeReport::collect(&runtime).to_json()
 }
 
@@ -112,7 +111,6 @@ fn run_gapped_stride_workload(config: RuntimeConfig) -> String {
     for i in 0..1024u64 {
         file.read_charge(&mut clock, i * 16 * 1024, 4096);
     }
-    runtime.flush_prefetch_batches(&mut clock);
     RuntimeReport::collect(&runtime).to_json()
 }
 

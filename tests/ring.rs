@@ -1,7 +1,8 @@
 //! Completion-driven ring: off-path byte-identity, same-seed
-//! determinism, visibility gating, demand-crossing reduction at hit
-//! parity, speculative pre-issue absorb/cancel, and closed-loop
-//! prefetch-quality accounting with the ring enabled.
+//! determinism, visibility gating, inertness on a kernel without
+//! CROSS-OS, demand-crossing reduction at hit parity, speculative
+//! pre-issue absorb/cancel, and closed-loop prefetch-quality accounting
+//! with the ring enabled.
 
 use crossprefetch::{Mode, Runtime, RuntimeConfig, RuntimeReport};
 use simos::{Device, DeviceConfig, FaultPlan, FileSystem, FsKind, Os, OsConfig};
@@ -24,10 +25,14 @@ const MECHANISMS: [Mode; 6] = [
     Mode::FincoreApp,
 ];
 
-/// The same deterministic mixed workload the batching tests drive:
-/// sequential ramp, warm re-read, seeded random jumps.
+/// A deterministic mixed workload: sequential ramp, warm re-read, seeded
+/// random jumps.
 fn run_workload(config: RuntimeConfig) -> String {
-    let runtime = Runtime::new(os(48), config);
+    run_workload_on(os(48), config)
+}
+
+fn run_workload_on(os: std::sync::Arc<Os>, config: RuntimeConfig) -> String {
+    let runtime = Runtime::new(os, config);
     let mut clock = runtime.new_clock();
     let file = runtime
         .create_sized(&mut clock, "/data/w.bin", 48 << 20)
@@ -46,7 +51,6 @@ fn run_workload(config: RuntimeConfig) -> String {
             .wrapping_add(1442695040888963407);
         file.read_charge(&mut clock, (state % (47 << 20)) & !4095, chunk);
     }
-    runtime.flush_prefetch_batches(&mut clock);
     RuntimeReport::collect(&runtime).to_json()
 }
 
@@ -86,30 +90,56 @@ fn ring_is_gated_on_visibility_end_to_end() {
 }
 
 /// Ring-enabled runs are deterministic: the same configuration twice
-/// produces byte-identical telemetry, for every mechanism, with and
-/// without batching stacked on top.
+/// produces byte-identical telemetry, for every mechanism.
 #[test]
 fn ring_run_is_deterministic_for_every_mechanism() {
     for mode in MECHANISMS {
-        for batch in [false, true] {
-            let mut config = RuntimeConfig::new(mode);
-            config.ring_submit = true;
-            config.batch_submit = batch;
-            let first = run_workload(config.clone());
-            let second = run_workload(config);
-            assert_eq!(
-                first,
-                second,
-                "{} (batch={batch}): same-seed ring divergence",
-                mode.label()
-            );
-        }
+        let mut config = RuntimeConfig::new(mode);
+        config.ring_submit = true;
+        let first = run_workload(config.clone());
+        let second = run_workload(config);
+        assert_eq!(first, second, "{}: same-seed ring divergence", mode.label());
     }
 }
 
-/// The tentpole gate: with the ring enabled, demand reads stop crossing
-/// one syscall each — fully-claimed reads absorb through the shared
-/// bitmap and misses share vectored `read_batch` crossings — while the
+/// On a kernel without CROSS-OS there is no exported bitmap to absorb
+/// through, so the ring must change nothing: ring-on telemetry equals
+/// ring-off telemetry apart from `ring.enabled`, and no read is absorbed.
+#[test]
+fn ring_is_inert_on_a_kernel_without_crossos() {
+    let stock_os = || {
+        let mut config = OsConfig::with_memory_mb(48);
+        config.readahead_info_supported = false;
+        Os::new(
+            config,
+            Device::new(DeviceConfig::local_nvme()),
+            FileSystem::new(FsKind::Ext4Like),
+        )
+    };
+    for mode in [Mode::Predict, Mode::PredictOpt, Mode::FetchAllOpt] {
+        let off = run_workload_on(stock_os(), RuntimeConfig::new(mode));
+        let mut ringed = RuntimeConfig::new(mode);
+        ringed.ring_submit = true;
+        let on = run_workload_on(stock_os(), ringed);
+        assert!(
+            on.contains("\"ring\":{\"enabled\":true,\"absorbed_reads\":0,"),
+            "{}: ring must be enabled yet absorb nothing",
+            mode.label()
+        );
+        assert_eq!(
+            off,
+            on.replace(
+                "\"ring\":{\"enabled\":true,",
+                "\"ring\":{\"enabled\":false,"
+            ),
+            "{}: the ring leaked into a kernel without CROSS-OS",
+            mode.label()
+        );
+    }
+}
+
+/// With the ring enabled, demand reads stop crossing one syscall each —
+/// fully-claimed reads absorb through the shared bitmap — while the
 /// cache-hit accounting stays identical.
 #[test]
 fn ring_cuts_demand_crossings_at_hit_parity() {
@@ -124,9 +154,8 @@ fn ring_cuts_demand_crossings_at_hit_parity() {
         for i in 0..768u64 {
             file.read_charge(&mut clock, i * 16_384, 16_384);
         }
-        runtime.flush_prefetch_batches(&mut clock);
         let os = runtime.os();
-        let crossings = os.stats().reads.get() + os.stats().read_batch_calls.get();
+        let crossings = os.stats().reads.get();
         let report = RuntimeReport::collect(&runtime);
         (
             crossings,
@@ -172,7 +201,6 @@ fn speculative_preissue_absorbs_matching_reads() {
     for i in 0..256u64 {
         file.read_charge(&mut clock, i * 16_384, 16_384);
     }
-    runtime.flush_prefetch_batches(&mut clock);
     let stats = runtime.stats();
     assert_eq!(stats.reads.get(), 256, "every read completes");
     assert!(
@@ -186,7 +214,7 @@ fn speculative_preissue_absorbs_matching_reads() {
     // Absorbed speculations never cross: total crossings stay well below
     // one per read.
     let os = runtime.os();
-    let crossings = os.stats().reads.get() + os.stats().read_batch_calls.get();
+    let crossings = os.stats().reads.get();
     assert!(
         crossings < 256 + stats.ring_spec_issued.get(),
         "absorbed reads must not pay their own crossing ({crossings})"
@@ -217,7 +245,6 @@ fn cancelled_speculation_is_charged_as_wasted() {
         file.read_charge(&mut clock, i * 16_384, 16_384);
     }
     file.read_charge(&mut clock, 31 << 20, 16_384);
-    runtime.flush_prefetch_batches(&mut clock);
     let stats = runtime.stats();
     assert!(
         stats.ring_spec_cancelled.get() > 0,
@@ -246,39 +273,33 @@ fn cancelled_speculation_is_charged_as_wasted() {
     );
 }
 
-/// The engines-suite closed-loop invariant, re-run with the ring (and
-/// batching) enabled on the zipfian kvprobe: every initiated page is
-/// classified exactly once even when speculations issue, absorb, and
-/// cancel along the way.
+/// The engines-suite closed-loop invariant, re-run with the ring enabled
+/// on the zipfian kvprobe: every initiated page is classified exactly
+/// once even when speculations issue, absorb, and cancel along the way.
 #[test]
 fn quality_counters_balance_under_ring_on_kvprobe() {
-    for batch in [false, true] {
-        let o = os(8);
-        let mut config = RuntimeConfig::new(Mode::Predict);
-        config.ring_submit = true;
-        config.batch_submit = batch;
-        let runtime = Runtime::new(o, config);
-        let cfg = KvProbeConfig {
-            probes: 2048,
-            ..KvProbeConfig::default()
-        };
-        setup_kvprobe(&runtime, &cfg, "/kv");
-        let mut clock = runtime.new_clock();
-        run_kvprobe(&runtime, &mut clock, &cfg, "/kv");
-        runtime.flush_prefetch_batches(&mut clock);
-        runtime.os().drop_caches(&mut clock);
-        let report = RuntimeReport::collect(&runtime);
-        let q = report.prefetch_quality;
-        assert!(report.pages_initiated > 0);
-        assert_eq!(
-            q.timely + q.late + q.wasted,
-            report.pages_initiated,
-            "batch={batch}: quality books don't balance with the ring on \
-             (timely={} late={} wasted={} initiated={})",
-            q.timely,
-            q.late,
-            q.wasted,
-            report.pages_initiated
-        );
-    }
+    let mut config = RuntimeConfig::new(Mode::Predict);
+    config.ring_submit = true;
+    let runtime = Runtime::new(os(8), config);
+    let cfg = KvProbeConfig {
+        probes: 2048,
+        ..KvProbeConfig::default()
+    };
+    setup_kvprobe(&runtime, &cfg, "/kv");
+    let mut clock = runtime.new_clock();
+    run_kvprobe(&runtime, &mut clock, &cfg, "/kv");
+    runtime.os().drop_caches(&mut clock);
+    let report = RuntimeReport::collect(&runtime);
+    let q = report.prefetch_quality;
+    assert!(report.pages_initiated > 0);
+    assert_eq!(
+        q.timely + q.late + q.wasted,
+        report.pages_initiated,
+        "quality books don't balance with the ring on \
+         (timely={} late={} wasted={} initiated={})",
+        q.timely,
+        q.late,
+        q.wasted,
+        report.pages_initiated
+    );
 }

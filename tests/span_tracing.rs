@@ -46,7 +46,6 @@ fn mixed_reads(runtime: &Runtime) -> u64 {
             .wrapping_add(1442695040888963407);
         file.read_charge(&mut clock, (state % (15 << 20)) & !4095, chunk);
     }
-    runtime.flush_prefetch_batches(&mut clock);
     clock.now()
 }
 

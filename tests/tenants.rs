@@ -93,7 +93,6 @@ fn run_untenanted(config: RuntimeConfig) -> String {
             .wrapping_add(1442695040888963407);
         file.read_charge(&mut clock, (state % (47 << 20)) & !4095, chunk);
     }
-    runtime.flush_prefetch_batches(&mut clock);
     RuntimeReport::collect(&runtime).to_json()
 }
 
@@ -147,46 +146,61 @@ fn same_seed_fleet_is_byte_identical() {
 /// The closed-loop quality invariant holds *per tenant* while admission
 /// control rejects and degrades prefetch mid-stream: after the cache
 /// drop settles the books, each tenant's timely + late + wasted equals
-/// exactly the pages initiated on its files.
+/// exactly the pages initiated on its files — with the completion-driven
+/// ring off and on (its speculative pre-issues and cancellations bill
+/// through the same per-tenant ledger).
 ///
 /// `Mode::Predict` silences the OS heuristic readahead and does no
 /// open-time prefetch, so each tenant's runtime prefetches are the only
 /// speculative pages its ledger sees.
 #[test]
 fn per_tenant_quality_books_balance_under_throttling() {
-    let cfg = throttled_fleet();
-    let mut config = RuntimeConfig::new(Mode::Predict);
-    config.tenants = Some(TenantsConfig::new(cfg.tenant_specs()));
-    let runtime = Runtime::new(os(8), config);
-    setup_fleet(&runtime, &cfg);
-    let mut clock = runtime.new_clock();
-    run_fleet(&runtime, &mut clock, &cfg);
-    runtime.os().drop_caches(&mut clock);
+    for ring in [false, true] {
+        let cfg = throttled_fleet();
+        let mut config = RuntimeConfig::new(Mode::Predict);
+        config.tenants = Some(TenantsConfig::new(cfg.tenant_specs()));
+        config.ring_submit = ring;
+        let runtime = Runtime::new(os(8), config);
+        setup_fleet(&runtime, &cfg);
+        let mut clock = runtime.new_clock();
+        run_fleet(&runtime, &mut clock, &cfg);
+        runtime.os().drop_caches(&mut clock);
 
-    let arbiter = runtime.tenants().expect("arbiter configured");
-    let reports = arbiter.reports();
-    let degraded: u64 = reports
-        .iter()
-        .map(|t| t.degraded_coalesced + t.degraded_blind + t.denied)
-        .sum();
-    assert!(
-        degraded > 0,
-        "the 8 MiB cache should force the ladder below Full"
-    );
-    let initiated: u64 = reports.iter().map(|t| t.initiated_pages).sum();
-    assert!(initiated > 0, "the fleet should trigger prefetching");
-    for (idx, report) in reports.iter().enumerate() {
-        let q = arbiter.tenant_quality(runtime.os(), TenantId(idx as u32));
-        assert_eq!(
-            q.timely + q.late + q.wasted,
-            report.initiated_pages,
-            "{}: per-tenant books don't balance (timely={} late={} wasted={} initiated={})",
-            report.name,
-            q.timely,
-            q.late,
-            q.wasted,
-            report.initiated_pages
+        if ring {
+            assert!(
+                runtime.stats().ring_spec_issued.get() > 0,
+                "the ring should pre-issue speculative reads under the fleet"
+            );
+        }
+        let arbiter = runtime.tenants().expect("arbiter configured");
+        let reports = arbiter.reports();
+        let degraded: u64 = reports
+            .iter()
+            .map(|t| t.degraded_coalesced + t.degraded_blind + t.denied)
+            .sum();
+        assert!(
+            degraded > 0,
+            "ring={ring}: the 8 MiB cache should force the ladder below Full"
         );
+        let initiated: u64 = reports.iter().map(|t| t.initiated_pages).sum();
+        assert!(
+            initiated > 0,
+            "ring={ring}: the fleet should trigger prefetching"
+        );
+        for (idx, report) in reports.iter().enumerate() {
+            let q = arbiter.tenant_quality(runtime.os(), TenantId(idx as u32));
+            assert_eq!(
+                q.timely + q.late + q.wasted,
+                report.initiated_pages,
+                "ring={ring}, {}: per-tenant books don't balance \
+                 (timely={} late={} wasted={} initiated={})",
+                report.name,
+                q.timely,
+                q.late,
+                q.wasted,
+                report.initiated_pages
+            );
+        }
     }
 }
 

@@ -72,7 +72,6 @@ fn tiering_section_is_inert_and_identical_across_mechanisms() {
         let mut clock = runtime.new_clock();
         let file = runtime.create_sized(&mut clock, "/t", 4 << 20).unwrap();
         stream(&file, &mut clock, 4 << 20, 64 * 1024);
-        runtime.flush_prefetch_batches(&mut clock);
         let json = RuntimeReport::collect(&runtime).to_json();
         sections.push(tiering_section(&json).to_string());
     }
@@ -122,7 +121,6 @@ fn promotions_move_predicted_hot_ranges_local_and_books_balance() {
     let mut clock = runtime.new_clock();
     let file = runtime.create_sized(&mut clock, "/hot", 16 << 20).unwrap();
     stream(&file, &mut clock, 16 << 20, 64 * 1024);
-    runtime.flush_prefetch_batches(&mut clock);
 
     let stats = runtime.stats();
     assert!(stats.promotions_issued.get() > 0, "planner never fired");
@@ -190,7 +188,6 @@ fn remote_faults_exhaust_retry_ladder_without_corrupting_placement() {
     let mut clock = runtime.new_clock();
     let file = runtime.create_sized(&mut clock, "/flaky", 8 << 20).unwrap();
     stream(&file, &mut clock, 8 << 20, 64 * 1024);
-    runtime.flush_prefetch_batches(&mut clock);
 
     let stats = runtime.stats();
     assert!(stats.promotions_issued.get() > 0, "planner never fired");
@@ -375,7 +372,6 @@ fn mixed_read_write_tiered_runs_are_deterministic() {
                 file.write_charge(&mut clock, slot * PAGE_SIZE, 2 * PAGE_SIZE);
             }
         }
-        runtime.flush_prefetch_batches(&mut clock);
         runtime.os().drop_caches(&mut clock);
         (clock.now(), RuntimeReport::collect(&runtime).to_json())
     };

@@ -71,7 +71,6 @@ fn run_mode(mode: Mode, kind: RangeIndexKind) -> Runtime {
             .wrapping_add(1442695040888963407);
         file.read_charge(&mut clock, (state % (15 << 20)) & !4095, chunk);
     }
-    runtime.flush_prefetch_batches(&mut clock);
     runtime
 }
 
