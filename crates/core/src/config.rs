@@ -135,7 +135,8 @@ pub struct RuntimeConfig {
     pub adaptive_duel_window: u64,
     /// Adaptive engine: shadow-book capacity per sub-engine.
     pub adaptive_shadow_capacity: usize,
-    /// Optimistic prefetch at open, bytes (§4.6 default 2 MiB).
+    /// Optimistic prefetch issued at a descriptor's first read, bytes
+    /// (§4.6 default 2 MiB).
     pub open_prefetch_bytes: u64,
     /// Ceiling for one relaxed prefetch request, pages (§4.7: 64 MiB).
     pub max_prefetch_pages: u64,

@@ -60,7 +60,7 @@ pub enum PipelineStage {
     CacheProbe,
     /// The demand I/O itself (OS read/write charge).
     DemandFill,
-    /// Post-I/O accounting: staleness, view update, policy hooks, exit
+    /// Post-I/O accounting: frontier reset, view update, policy hooks, exit
     /// histograms.
     Account,
 }

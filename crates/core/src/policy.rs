@@ -22,8 +22,10 @@ pub enum OpenAction {
     Nothing,
     /// Schedule the entire file at the first open (`[+fetchall+opt]`).
     ScheduleWholeFile,
-    /// Optimistic fixed-size window at open (§4.6's 2 MiB), floors
-    /// respected.
+    /// Optimistic fixed-size window (§4.6's 2 MiB), floors respected,
+    /// issued at the descriptor's first read from that read's offset —
+    /// a window at page 0 would be useless to a reader starting anywhere
+    /// else, and every descriptor opened but not yet read would hold one.
     OptimisticWindow,
 }
 

@@ -12,8 +12,9 @@
 //! Stage order is semantic, not incidental: prediction and prefetch
 //! planning run *before* the demand fill so the prefetch stream overlaps
 //! the blocking I/O instead of trailing it, and the cache probe runs
-//! before the fill so staleness (view said cached, OS missed) is
-//! observable afterwards in the account stage.
+//! before the fill so the ring can complete a fully-claimed read without
+//! a crossing. Both the probe and the prefetch plan first check the OS
+//! cache generation, so the view never claims a page the OS has dropped.
 //!
 //! Each stage boundary records its virtual-time cost into the per-stage
 //! histograms ([`crate::metrics::PipelineStage`]) — the attach points for
@@ -42,10 +43,6 @@ use crate::trace::{LookupOutcome, TraceEventKind};
 
 /// Reads between whole-file refetch rounds in FetchAll mode.
 const FETCHALL_REFRESH_READS: u64 = 256;
-
-/// Unexpected-miss pages tolerated before the user-level cache view is
-/// discarded and re-imported from the OS.
-const STALE_RESYNC_PAGES: u64 = 128;
 
 /// How the demand-fill stage performs its OS read.
 ///
@@ -166,8 +163,7 @@ pub(crate) struct ReadCtx {
     /// disabled) and this thread opened a frame for a non-write access.
     spans: bool,
     /// Pages of the span the user-level view claimed cached (set by the
-    /// cache-probe stage, consumed by the account stage's staleness
-    /// check).
+    /// cache-probe stage, consumed by the ring's absorb decision).
     claimed: u64,
     /// Engine output (set by the predict stage, consumed by the
     /// prefetch-plan stage): the strided prediction, any mined
@@ -375,6 +371,13 @@ impl CpFile {
     /// instead of trailing it.
     fn stage_prefetch_plan(&self, clock: &mut ThreadClock, ctx: &mut ReadCtx) {
         let inner = &self.runtime.inner;
+        // §4.6's optimistic window, owed since open, starts at the
+        // descriptor's first read.
+        if !ctx.is_write && self.open_window_pending.swap(false, Ordering::Relaxed) {
+            let pages = inner.config.open_prefetch_bytes / PAGE_SIZE;
+            self.runtime
+                .prefetch_pages(clock, &self.file, ctx.p0, pages, true);
+        }
         // Speculative pre-issue target (ring only): when the engine's
         // confidence clears the bar, the predicted *next* demand read —
         // same size as this one, adjacent in the stream's direction. The
@@ -453,13 +456,14 @@ impl CpFile {
     }
 
     /// Stage 4 — cache-probe: how much of this range the user-level view
-    /// believes is cached — read before the I/O so staleness is
-    /// observable afterwards (account stage).
+    /// believes is cached, after re-importing a view the OS generation
+    /// shows to be stale.
     fn stage_cache_probe(&self, clock: &mut ThreadClock, ctx: &mut ReadCtx) {
         let runtime = &self.runtime;
         let inner = &runtime.inner;
         let probes = inner.policy.features.visibility && !ctx.is_write;
         if probes {
+            runtime.resync_if_stale(clock, &self.file);
             let costs = &inner.os.config().costs;
             ctx.claimed = self
                 .file
@@ -563,37 +567,14 @@ impl CpFile {
         ctx.close_stage(self, PipelineStage::Account, clock.now());
     }
 
-    /// Stage 6 — account: post-I/O state maintenance — staleness
-    /// evidence, pacing-frontier reset, user-level view update — then the
+    /// Stage 6 — account: post-I/O state maintenance — pacing-frontier
+    /// reset, user-level view update — then the
     /// policy's post-read hooks in table order, then the exit histogram
     /// and trace.
     fn stage_account(&self, clock: &mut ThreadClock, ctx: &mut ReadCtx, outcome: &ReadOutcome) {
         let runtime = &self.runtime;
         let inner = &runtime.inner;
         let costs = &inner.os.config().costs;
-
-        // Staleness detection: more misses than the view predicted means
-        // the OS evicted pages behind our back. Accumulate evidence and
-        // resynchronize by dropping the view — subsequent prefetch checks
-        // fall through to the cheap `readahead_info` fast path, which
-        // re-imports the authoritative bitmap.
-        if inner.policy.features.visibility && !ctx.is_write {
-            let expected_miss = ctx.pages - ctx.claimed;
-            if outcome.miss_pages > expected_miss {
-                let unexpected = outcome.miss_pages - expected_miss;
-                inner.stats.stale_pages_observed.add(unexpected);
-                let total = self
-                    .file
-                    .stale_pages
-                    .fetch_add(unexpected, Ordering::Relaxed)
-                    + unexpected;
-                if total >= STALE_RESYNC_PAGES {
-                    inner.stats.stale_resyncs.incr();
-                    self.file.stale_pages.store(0, Ordering::Relaxed);
-                    self.file.tree.clear(clock, costs, runtime.scope());
-                }
-            }
-        }
 
         // A miss inside the frontier-claimed region means the claim is
         // stale (evicted or never actually covered): reset the pacing

@@ -41,10 +41,11 @@ pub struct LibFile {
     pub(crate) last_access_ns: AtomicU64,
     /// Reads since the last fincore poll (FincoreApp mode).
     pub(crate) reads_since_poll: AtomicU64,
-    /// Pages the user-level view claimed cached but the OS missed —
-    /// evidence that the imported bitmap has gone stale (e.g. the OS LRU
-    /// reclaimed behind CROSS-LIB's back, §4.4's freshness challenge).
-    pub(crate) stale_pages: AtomicU64,
+    /// The OS cache generation ([`Os::cache_generation`]) the view was
+    /// last synced with. The OS bumps it whenever it drops any of the
+    /// file's pages, so a mismatch means the view may claim evicted pages
+    /// (§4.4's freshness challenge) and must be re-imported.
+    pub(crate) synced_generation: AtomicU64,
     /// Whether a whole-file fetch was already scheduled (FetchAll mode) —
     /// concurrent opens of a shared file must not stack redundant streams.
     pub(crate) fetchall_scheduled: std::sync::atomic::AtomicBool,
@@ -102,6 +103,9 @@ pub struct CpFile {
     /// before the application asked. Consumed (absorbed or cancelled) by
     /// the next demand fill; at most one in flight per descriptor.
     pub(crate) spec: Mutex<Option<SpecRead>>,
+    /// Whether §4.6's optimistic window is still owed: set at open under
+    /// [`OpenAction::OptimisticWindow`], taken by the first read.
+    pub(crate) open_window_pending: AtomicBool,
     /// Whether mapped access restored fault-around already.
     mmap_touched: std::sync::atomic::AtomicBool,
     /// Last pattern index the tracer saw for this descriptor
@@ -292,7 +296,7 @@ impl Runtime {
                 tree,
                 last_access_ns: AtomicU64::new(0),
                 reads_since_poll: AtomicU64::new(0),
-                stale_pages: AtomicU64::new(0),
+                synced_generation: AtomicU64::new(self.inner.os.cache_generation(ino)),
                 fetchall_scheduled: std::sync::atomic::AtomicBool::new(false),
                 reads_since_refetch: AtomicU64::new(0),
                 refetch_cursor: AtomicU64::new(0),
@@ -404,11 +408,9 @@ impl Runtime {
                     self.prefetch_pages(clock, &file, 0, pages, /* respect_floors = */ false);
                 }
             }
-            OpenAction::OptimisticWindow => {
-                // §4.6: optimistic 2 MiB at open, memory permitting.
-                let pages = self.inner.config.open_prefetch_bytes / PAGE_SIZE;
-                self.prefetch_pages(clock, &file, 0, pages, true);
-            }
+            // §4.6's optimistic window waits for the first read, which
+            // says where the descriptor actually starts.
+            OpenAction::OptimisticWindow => {}
         }
 
         let engine = Engine::for_kind(self.inner.policy.engine, &self.inner.config.engine_config());
@@ -424,6 +426,9 @@ impl Runtime {
             back_frontier: AtomicU64::new(u64::MAX),
             window_pages: AtomicU64::new(0),
             spec: Mutex::new(None),
+            open_window_pending: AtomicBool::new(
+                policy.open_action == OpenAction::OptimisticWindow,
+            ),
             mmap_touched: std::sync::atomic::AtomicBool::new(false),
             last_pattern: std::sync::atomic::AtomicU8::new(u8::MAX),
         }
@@ -640,6 +645,7 @@ impl Runtime {
         // User-level visibility check: skip entirely-cached requests. This
         // is the system-call reduction at the heart of §4.2.
         let missing = if inner.policy.features.visibility && !force_blind {
+            self.resync_if_stale(clock, file);
             let runs = file.tree.missing_in(clock, costs, self.scope(), from, end);
             if inner.config.coalesce_prefetch || force_coalesce {
                 self.coalesce_runs(runs)
@@ -717,6 +723,21 @@ impl Runtime {
             );
         }
         end
+    }
+
+    /// Re-imports `file`'s user-level view when the OS has dropped any of
+    /// its pages since the view was last synced: the view is cleared (as
+    /// a fresh process would start) and counted in `stale_resyncs`, and
+    /// later prefetch checks fall through to `readahead_info`, which
+    /// re-imports the authoritative bitmap. The generation read is a load
+    /// from a counter CROSS-OS shares, so a fresh view costs nothing.
+    pub(crate) fn resync_if_stale(&self, clock: &mut ThreadClock, file: &LibFile) {
+        let generation = self.inner.os.cache_generation(file.ino);
+        if file.synced_generation.swap(generation, Ordering::Relaxed) != generation {
+            self.inner.stats.stale_resyncs.incr();
+            let costs = &self.inner.os.config().costs;
+            file.tree.clear(clock, costs, self.scope());
+        }
     }
 
     /// Merges adjacent missing runs separated by at most one OS readahead
@@ -899,23 +920,20 @@ impl Runtime {
         let inactive_cutoff = now.saturating_sub(inner.os.config().inactive_after_ns);
         let idle_cutoff = now.saturating_sub(inner.config.evict_min_idle_ns);
 
-        let mut candidates: Vec<Arc<LibFile>> = inner
+        // One snapshot of each file's last access: other threads keep
+        // storing to it, and a sort whose keys move under it panics.
+        let mut candidates: Vec<(u64, Arc<LibFile>)> = inner
             .inner_files()
             .into_iter()
-            .filter(|f| {
-                f.ino != current
-                    // Never evict files another thread is actively using;
-                    // the OS word-granular LRU handles those gracefully.
-                    && f.last_access_ns.load(Ordering::Relaxed) < idle_cutoff
-            })
+            .map(|f| (f.last_access_ns.load(Ordering::Relaxed), f))
+            // Never evict files another thread is actively using; the OS
+            // word-granular LRU handles those gracefully.
+            .filter(|(last, f)| f.ino != current && *last < idle_cutoff)
             .collect();
         // Inactive files first, then LRU order.
-        candidates.sort_by_key(|f| {
-            let last = f.last_access_ns.load(Ordering::Relaxed);
-            (last >= inactive_cutoff, last)
-        });
+        candidates.sort_by_key(|&(last, _)| (last >= inactive_cutoff, last));
 
-        for file in candidates {
+        for (_, file) in candidates {
             if self.free_fraction() >= inner.config.evict_target {
                 break;
             }
@@ -929,8 +947,9 @@ impl Runtime {
             let dropped = inner
                 .os
                 .fadvise(clock, file.prefetch_fd, Advice::DontNeed, 0, u64::MAX);
-            let cleared = file.tree.clear(clock, costs, self.scope());
-            let _ = cleared;
+            let generation = inner.os.cache_generation(file.ino);
+            file.tree.clear(clock, costs, self.scope());
+            file.synced_generation.store(generation, Ordering::Relaxed);
             if dropped == 0 {
                 continue;
             }
@@ -955,8 +974,9 @@ impl Runtime {
     pub fn drop_cache_view(&self, clock: &mut ThreadClock) {
         let costs = &self.inner.os.config().costs;
         for file in self.inner.inner_files() {
+            let generation = self.inner.os.cache_generation(file.ino);
             file.tree.clear(clock, costs, self.scope());
-            file.stale_pages.store(0, Ordering::Relaxed);
+            file.synced_generation.store(generation, Ordering::Relaxed);
             file.fetchall_scheduled.store(false, Ordering::Relaxed);
             file.reads_since_refetch.store(0, Ordering::Relaxed);
             file.refetch_cursor.store(0, Ordering::Relaxed);

@@ -35,11 +35,10 @@ pub struct LibStats {
     pub pages_abandoned: Counter,
     /// Demand-read errors surfaced to the workload through the shim.
     pub read_errors: Counter,
-    /// Times the stale-view watchdog dropped a file's range tree after
-    /// observing OS-side reclaim.
+    /// Times a file's range tree was dropped because the OS cache
+    /// generation moved past the one the view was synced with (OS-side
+    /// reclaim, fadvise or drop_caches behind CROSS-LIB's back).
     pub stale_resyncs: Counter,
-    /// Stale pages (claimed cached, found evicted) the watchdog observed.
-    pub stale_pages_observed: Counter,
     /// Adjacent planned prefetch runs merged into an earlier submission
     /// ([`crate::RuntimeConfig::coalesce_prefetch`]); each merge is one
     /// saved syscall-bearing submission.

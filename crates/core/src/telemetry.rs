@@ -66,7 +66,8 @@ pub struct RuntimeReport {
     pub pages_abandoned: u64,
     /// Demand-read errors surfaced to the workload through the shim.
     pub read_errors: u64,
-    /// Stale-view resyncs (range tree dropped after observed OS reclaim).
+    /// Stale-view resyncs (range tree dropped because the OS cache
+    /// generation moved: pages were reclaimed or dropped behind it).
     pub stale_resyncs: u64,
     /// `readahead_info` attempts rejected by a stock kernel.
     pub ra_info_unsupported: u64,

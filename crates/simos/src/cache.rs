@@ -1,10 +1,17 @@
 //! Per-inode page-cache state: presence bitmap, recency, readiness, dirt.
 //!
 //! One [`InodeCache`] plays the role of Linux's per-file Xarray *and* of the
-//! CROSS-OS per-inode cache-state bitmap: page presence is tracked as one
-//! bit per page, while recency (`touch`), in-flight-I/O completion time
-//! (`ready`), and dirtiness are tracked at 64-page *word* granularity
-//! (256 KiB), which is also the granularity the OS LRU reclaims at.
+//! CROSS-OS per-inode cache-state bitmap: page presence, dirtiness and
+//! in-flight-I/O completion time (`ready`) are tracked per page, while
+//! recency (`touch`, an LRU stamp from
+//! [`crate::reclaim::MemoryManager::lru_stamp`]) is tracked at 64-page
+//! *word* granularity (256 KiB), which is also the granularity the OS LRU
+//! reclaims at. A word's stamp moves on insertion and on re-reference;
+//! the first read of a prefetched page does not move it, so a stream's
+//! consumed pages age by when they were read in, behind the unread
+//! readahead inserted after them (Linux's use-once rule). A per-inode
+//! *generation* counts removals, so a user-level copy of the bitmap can
+//! tell cheaply whether it may still claim pages the OS has dropped.
 //!
 //! Virtual-time contention is charged on two separate resources, mirroring
 //! the paper's delineated paths: `tree_lock` models the per-file cache-tree
@@ -58,9 +65,10 @@ impl PrefetchQuality {
 pub struct CacheState {
     /// Presence bitmap, one bit per page.
     words: Vec<u64>,
-    /// Last-access virtual time per word.
+    /// LRU stamp per word: its latest insertion or re-reference.
     touch: Vec<u64>,
-    /// Completion time of in-flight fills per word (0 = ready).
+    /// Fill completion time per page, set when the page is inserted and
+    /// meaningful only while it is present (<= now: ready).
     ready: Vec<u64>,
     /// Dirty bitmap, one bit per page.
     dirty: Vec<u64>,
@@ -75,6 +83,9 @@ pub struct CacheState {
     dirty_since_ns: u64,
     /// Prefetch-quality tallies for this file.
     quality: PrefetchQuality,
+    /// Bumped by every call that removes at least one page (reclaim,
+    /// range removal, fadvise(DONTNEED), drop_caches, unlink).
+    generation: u64,
 }
 
 impl CacheState {
@@ -83,7 +94,7 @@ impl CacheState {
         if need > self.words.len() {
             self.words.resize(need, 0);
             self.touch.resize(need, 0);
-            self.ready.resize(need, 0);
+            self.ready.resize(need * PAGES_PER_WORD as usize, 0);
             self.dirty.resize(need, 0);
             self.speculative.resize(need, 0);
         }
@@ -104,26 +115,13 @@ impl CacheState {
 
     /// Maximal missing runs within `[start, end)`.
     pub fn missing_runs(&self, start: u64, end: u64) -> Vec<PageRange> {
-        let mut runs = Vec::new();
-        let mut run_start = None;
-        for page in start..end {
-            if self.is_present(page) {
-                if let Some(s) = run_start.take() {
-                    runs.push((s, page));
-                }
-            } else if run_start.is_none() {
-                run_start = Some(page);
-            }
-        }
-        if let Some(s) = run_start {
-            runs.push((s, end));
-        }
-        runs
+        runs_where(start, end, |page| !self.is_present(page))
     }
 
-    /// Inserts `[start, end)`, recording recency `now` and fill completion
-    /// `ready_at`. Returns the number of pages newly inserted.
-    pub fn insert_range(&mut self, start: u64, end: u64, now: u64, ready_at: u64) -> u64 {
+    /// Inserts `[start, end)`, recording LRU stamp `stamp` and, for the
+    /// pages newly inserted, fill completion `ready_at` (a page already
+    /// present keeps its own). Returns the number of pages newly inserted.
+    pub fn insert_range(&mut self, start: u64, end: u64, stamp: u64, ready_at: u64) -> u64 {
         if end <= start {
             return 0;
         }
@@ -133,10 +131,10 @@ impl CacheState {
             let (w, b) = ((page / PAGES_PER_WORD) as usize, page % PAGES_PER_WORD);
             if self.words[w] & (1 << b) == 0 {
                 self.words[w] |= 1 << b;
+                self.ready[page as usize] = ready_at;
                 inserted += 1;
             }
-            self.touch[w] = self.touch[w].max(now);
-            self.ready[w] = self.ready[w].max(ready_at);
+            self.touch[w] = self.touch[w].max(stamp);
         }
         self.resident += inserted;
         inserted
@@ -150,7 +148,7 @@ impl CacheState {
         &mut self,
         start: u64,
         end: u64,
-        now: u64,
+        stamp: u64,
         ready_at: u64,
     ) -> u64 {
         if end <= start {
@@ -163,10 +161,10 @@ impl CacheState {
             if self.words[w] & (1 << b) == 0 {
                 self.words[w] |= 1 << b;
                 self.speculative[w] |= 1 << b;
+                self.ready[page as usize] = ready_at;
                 inserted += 1;
             }
-            self.touch[w] = self.touch[w].max(now);
-            self.ready[w] = self.ready[w].max(ready_at);
+            self.touch[w] = self.touch[w].max(stamp);
         }
         self.resident += inserted;
         inserted
@@ -195,25 +193,24 @@ impl CacheState {
         flagged
     }
 
-    /// Classifies the first access to any speculative pages in
-    /// `[start, end)` at virtual time `now`: a speculative page whose fill
-    /// completed by `now` counts as *timely*, one still in flight as
-    /// *late*. Consumed pages lose their speculative flag. Returns
-    /// `(timely, late)` for this access.
-    pub fn classify_access(&mut self, start: u64, end: u64, now: u64) -> (u64, u64) {
-        if end <= start || self.speculative.is_empty() {
+    /// Records a read of `[start, end)` at virtual time `now`, LRU stamp
+    /// `stamp`. The first access to a speculative page classifies it:
+    /// *timely* if its fill completed by `now`, *late* if still in flight;
+    /// consumed pages lose their speculative flag. A word's recency moves
+    /// only when the read re-references a page that was not speculative —
+    /// a prefetched page's first use leaves the word aged by its
+    /// insertion. Returns `(timely, late)` for this access.
+    pub fn classify_access(&mut self, start: u64, end: u64, now: u64, stamp: u64) -> (u64, u64) {
+        if end <= start || self.words.is_empty() {
             return (0, 0);
         }
         let first = (start / PAGES_PER_WORD) as usize;
-        let last = (((end - 1) / PAGES_PER_WORD) as usize).min(self.speculative.len() - 1);
-        if first >= self.speculative.len() {
+        let last = (((end - 1) / PAGES_PER_WORD) as usize).min(self.words.len() - 1);
+        if first >= self.words.len() {
             return (0, 0);
         }
         let (mut timely, mut late) = (0u64, 0u64);
         for w in first..=last {
-            if self.speculative[w] == 0 {
-                continue;
-            }
             let wbase = w as u64 * PAGES_PER_WORD;
             let lo = start.max(wbase) - wbase;
             let hi = (end.min(wbase + PAGES_PER_WORD) - wbase).min(PAGES_PER_WORD);
@@ -223,15 +220,22 @@ impl CacheState {
                 ((1u64 << (hi - lo)) - 1) << lo
             };
             let hit = self.speculative[w] & mask;
+            if self.words[w] & mask & !hit != 0 {
+                self.touch[w] = self.touch[w].max(stamp);
+            }
             if hit == 0 {
                 continue;
             }
             self.speculative[w] &= !mask;
-            let n = u64::from(hit.count_ones());
-            if self.ready[w] <= now {
-                timely += n;
-            } else {
-                late += n;
+            let mut bits = hit;
+            while bits != 0 {
+                let page = wbase as usize + bits.trailing_zeros() as usize;
+                if self.ready[page] <= now {
+                    timely += 1;
+                } else {
+                    late += 1;
+                }
+                bits &= bits - 1;
             }
         }
         self.quality.timely += timely;
@@ -252,8 +256,9 @@ impl CacheState {
             .sum()
     }
 
-    /// Marks `[start, end)` recently used without changing presence.
-    pub fn touch_range(&mut self, start: u64, end: u64, now: u64) {
+    /// Marks `[start, end)` recently used (LRU stamp `stamp`) without
+    /// changing presence.
+    pub fn touch_range(&mut self, start: u64, end: u64, stamp: u64) {
         if end <= start {
             return;
         }
@@ -261,37 +266,46 @@ impl CacheState {
         let first = (start / PAGES_PER_WORD) as usize;
         let last = ((end - 1) / PAGES_PER_WORD) as usize;
         for w in first..=last {
-            self.touch[w] = self.touch[w].max(now);
+            self.touch[w] = self.touch[w].max(stamp);
         }
     }
 
-    /// Latest in-flight fill completion affecting `[start, end)`.
+    /// Latest fill completion among the pages of `[start, end)` that are
+    /// present; absent pages (and neighbours outside the range) never
+    /// delay a reader.
     pub fn ready_max(&self, start: u64, end: u64) -> u64 {
-        if end <= start || self.words.is_empty() {
-            return 0;
-        }
-        let first = (start / PAGES_PER_WORD) as usize;
-        let last = (((end - 1) / PAGES_PER_WORD) as usize).min(self.words.len() - 1);
-        if first >= self.words.len() {
-            return 0;
-        }
-        self.ready[first..=last].iter().copied().max().unwrap_or(0)
+        let cap = self.words.len() as u64 * PAGES_PER_WORD;
+        (start..end.min(cap))
+            .filter(|&page| self.is_present(page))
+            .map(|page| self.ready[page as usize])
+            .max()
+            .unwrap_or(0)
     }
 
-    /// Lowers the in-flight readiness of `[start, end)` to at most `ns` —
-    /// used when a demand read overtakes a queued prefetch stream.
+    /// Maximal runs within `[start, end)` of present pages whose fills are
+    /// still in flight at `now`.
+    pub fn inflight_runs(&self, start: u64, end: u64, now: u64) -> Vec<PageRange> {
+        runs_where(start, end, |page| {
+            self.is_present(page) && self.ready[page as usize] > now
+        })
+    }
+
+    /// Lowers the fill completion of the present pages of `[start, end)`
+    /// to at most `ns` — used when a demand read overtakes the queued
+    /// prefetch stream they belong to.
     pub fn lower_ready(&mut self, start: u64, end: u64, ns: u64) {
-        if end <= start || self.words.is_empty() {
-            return;
+        let cap = self.words.len() as u64 * PAGES_PER_WORD;
+        for page in start..end.min(cap) {
+            if self.is_present(page) {
+                let ready = &mut self.ready[page as usize];
+                *ready = (*ready).min(ns);
+            }
         }
-        let first = (start / PAGES_PER_WORD) as usize;
-        let last = (((end - 1) / PAGES_PER_WORD) as usize).min(self.words.len() - 1);
-        if first >= self.words.len() {
-            return;
-        }
-        for w in first..=last {
-            self.ready[w] = self.ready[w].min(ns);
-        }
+    }
+
+    /// The removal generation: changes whenever a page leaves the cache.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Marks pages dirty (they must be present) at virtual time `now`.
@@ -394,11 +408,7 @@ impl CacheState {
                 }
             }
         }
-        self.resident -= removed;
-        self.dirty_pages -= dirty;
-        if self.dirty_pages == 0 {
-            self.dirty_since_ns = 0;
-        }
+        self.note_removed(removed, dirty);
         (removed, dirty)
     }
 
@@ -413,12 +423,20 @@ impl CacheState {
         self.words[widx] = 0;
         self.dirty[widx] = 0;
         self.speculative[widx] = 0;
+        self.note_removed(removed, dirty);
+        (removed, dirty)
+    }
+
+    /// Books a removal of `removed` pages, `dirty` of them dirty.
+    fn note_removed(&mut self, removed: u64, dirty: u64) {
         self.resident -= removed;
         self.dirty_pages -= dirty;
         if self.dirty_pages == 0 {
             self.dirty_since_ns = 0;
         }
-        (removed, dirty)
+        if removed > 0 {
+            self.generation += 1;
+        }
     }
 
     /// Pages currently present.
@@ -436,7 +454,7 @@ impl CacheState {
         self.words.len()
     }
 
-    /// `(word index, last touch, resident pages)` for every non-empty word
+    /// `(word index, LRU stamp, resident pages)` for every non-empty word
     /// — the reclaim scan input.
     pub fn word_summaries(&self) -> Vec<(usize, u64, u64)> {
         self.words
@@ -459,6 +477,25 @@ impl CacheState {
             .map(|w| self.words.get(w).copied().unwrap_or(0))
             .collect()
     }
+}
+
+/// Maximal runs of pages in `[start, end)` for which `holds` is true.
+fn runs_where(start: u64, end: u64, holds: impl Fn(u64) -> bool) -> Vec<PageRange> {
+    let mut runs = Vec::new();
+    let mut run_start = None;
+    for page in start..end {
+        if !holds(page) {
+            if let Some(s) = run_start.take() {
+                runs.push((s, page));
+            }
+        } else if run_start.is_none() {
+            run_start = Some(page);
+        }
+    }
+    if let Some(s) = run_start {
+        runs.push((s, end));
+    }
+    runs
 }
 
 /// The per-inode cache object: real state plus contention models and
@@ -646,13 +683,13 @@ mod tests {
         assert_eq!(cache.speculative_pages(), 128);
 
         // Access the first word after its fill landed: timely.
-        assert_eq!(cache.classify_access(0, 32, 500), (32, 0));
+        assert_eq!(cache.classify_access(0, 32, 500, 0), (32, 0));
         // Access the second word while still in flight: late.
-        assert_eq!(cache.classify_access(64, 80, 500), (0, 16));
+        assert_eq!(cache.classify_access(64, 80, 500, 0), (0, 16));
         // The rest of both fills has landed by t=1000: timely. Already
         // consumed pages are not re-classified.
-        assert_eq!(cache.classify_access(0, 128, 1_000), (80, 0));
-        assert_eq!(cache.classify_access(0, 128, 2_000), (0, 0));
+        assert_eq!(cache.classify_access(0, 128, 1_000, 0), (80, 0));
+        assert_eq!(cache.classify_access(0, 128, 2_000, 0), (0, 0));
         assert_eq!(cache.speculative_pages(), 0);
 
         let q = cache.quality();
@@ -664,7 +701,7 @@ mod tests {
         let mut cache = CacheState::default();
         cache.insert_range_prefetched(0, 64, 10, 0);
         cache.insert_range_prefetched(64, 100, 10, 0);
-        cache.classify_access(0, 10, 50); // 10 timely
+        cache.classify_access(0, 10, 50, 0); // 10 timely
         cache.evict_word(0); // 54 untouched speculative pages
         let (removed, _) = cache.remove_range(64, 100);
         assert_eq!(removed, 36);
@@ -678,7 +715,7 @@ mod tests {
         let mut cache = CacheState::default();
         cache.insert_range(0, 64, 10, 0);
         assert_eq!(cache.speculative_pages(), 0);
-        assert_eq!(cache.classify_access(0, 64, 50), (0, 0));
+        assert_eq!(cache.classify_access(0, 64, 50, 0), (0, 0));
         cache.evict_word(0);
         assert_eq!(cache.quality(), PrefetchQuality::default());
     }
@@ -692,7 +729,7 @@ mod tests {
         assert_eq!(cache.mark_speculative(0, 64), 16);
         assert_eq!(cache.speculative_pages(), 32);
         // Eviction now books the untouched half as wasted.
-        cache.classify_access(0, 8, 50);
+        cache.classify_access(0, 8, 50, 0);
         cache.evict_word(0);
         let q = cache.quality();
         assert_eq!((q.timely, q.late, q.wasted), (8, 0, 24));
@@ -706,6 +743,86 @@ mod tests {
         cache.insert_range(0, 32, 10, 0); // demand-resident
         cache.insert_range_prefetched(0, 64, 20, 0); // overlaps
         assert_eq!(cache.speculative_pages(), 32); // only the new half
+    }
+
+    #[test]
+    fn landed_page_never_waits_on_a_neighbours_later_fill() {
+        let mut cache = CacheState::default();
+        // Page 3 landed at t=100; its word-mates 4..8 are still in flight
+        // until t=9000.
+        cache.insert_range(3, 4, 1, 100);
+        cache.insert_range_prefetched(4, 8, 2, 9_000);
+        assert_eq!(cache.ready_max(3, 4), 100);
+        assert_eq!(cache.ready_max(3, 8), 9_000);
+        // Absent pages carry no readiness, whatever was there before.
+        assert_eq!(cache.ready_max(0, 3), 0);
+        // Re-inserting a present page keeps its own completion time.
+        assert_eq!(cache.insert_range_prefetched(0, 8, 3, 20_000), 3);
+        assert_eq!(cache.ready_max(3, 4), 100);
+        assert_eq!(cache.ready_max(4, 8), 9_000);
+        // First accesses classify per page: page 3 is not prefetched, 4
+        // is late at t=500, and 0..3 landed at 20_000 (late too).
+        assert_eq!(cache.classify_access(0, 5, 500, 4), (0, 4));
+        assert_eq!(cache.classify_access(5, 8, 9_000, 5), (3, 0));
+    }
+
+    #[test]
+    fn overtake_lowers_only_the_pages_it_read() {
+        let mut cache = CacheState::default();
+        cache.insert_range_prefetched(0, 64, 1, 50_000);
+        cache.insert_range_prefetched(64, 70, 1, 60_000);
+        // A demand read of [0, 4) that overtook the queued stream moves
+        // exactly its in-flight pages.
+        assert_eq!(cache.inflight_runs(0, 4, 1_000), vec![(0, 4)]);
+        assert_eq!(cache.inflight_runs(60, 80, 55_000), vec![(64, 70)]);
+        cache.lower_ready(0, 4, 2_000);
+        assert_eq!(cache.inflight_runs(0, 8, 2_000), vec![(4, 8)]);
+        assert_eq!(cache.ready_max(0, 4), 2_000);
+        assert_eq!(cache.ready_max(4, 5), 50_000);
+        assert_eq!(cache.ready_max(4, 64), 50_000);
+        assert_eq!(cache.ready_max(64, 70), 60_000);
+        // Absent pages are never made ready.
+        cache.lower_ready(70, 128, 0);
+        assert_eq!(cache.insert_range_prefetched(70, 71, 2, 80_000), 1);
+        assert_eq!(cache.ready_max(70, 71), 80_000);
+    }
+
+    #[test]
+    fn every_removal_path_bumps_the_generation() {
+        let mut cache = CacheState::default();
+        assert_eq!(cache.generation(), 0);
+        cache.insert_range(0, 200, 1, 0);
+        // Insertion and access never move it.
+        cache.classify_access(0, 200, 10, 2);
+        assert_eq!(cache.generation(), 0);
+        // Reclaim of one word.
+        cache.evict_word(0);
+        assert_eq!(cache.generation(), 1);
+        // Range removal (fadvise(DONTNEED), drop_caches and unlink all
+        // remove through it).
+        cache.remove_range(64, 70);
+        assert_eq!(cache.generation(), 2);
+        cache.remove_range(0, u64::MAX / 2);
+        assert_eq!(cache.generation(), 3);
+        // Removing nothing leaves a synced view valid.
+        cache.remove_range(0, u64::MAX / 2);
+        cache.evict_word(1);
+        assert_eq!(cache.generation(), 3);
+    }
+
+    #[test]
+    fn first_read_of_prefetched_pages_keeps_the_insertion_stamp() {
+        let mut cache = CacheState::default();
+        cache.insert_range_prefetched(0, 64, 10, 0); // word 0
+        cache.insert_range(64, 128, 20, 0); // word 1, demand-filled
+                                            // Consuming the readahead leaves word 0 aged by its insertion.
+        cache.classify_access(0, 64, 5, 30);
+        // Re-reading demand-filled data refreshes word 1.
+        cache.classify_access(64, 65, 5, 40);
+        assert_eq!(cache.word_summaries(), vec![(0, 10, 64), (1, 40, 64)]);
+        // A second read of consumed readahead is a re-reference.
+        cache.classify_access(0, 1, 5, 50);
+        assert_eq!(cache.word_summaries()[0].1, 50);
     }
 
     #[test]

@@ -216,14 +216,19 @@ impl Os {
                 );
             }
         }
-        let missing = cache.state.read().missing_runs(p0, p1);
+        // Scan, charge and insert form one step per inode: a concurrent
+        // caller that scanned the same missing pages before this one
+        // inserted them would fetch them a second time.
+        let mut state = cache.state.write();
+        let missing = state.missing_runs(p0, p1);
         let range_pages = p1.saturating_sub(p0);
         let missing_pages: u64 = missing.iter().map(|&(s, e)| e - s).sum();
         let cached_pages = range_pages - missing_pages;
 
         let mut initiated = 0;
         let mut ready_at = 0;
-        if !req.query_only && missing_pages > 0 {
+        let issue = !req.query_only && missing_pages > 0;
+        if issue {
             let cap = req
                 .limit_pages
                 .unwrap_or(self.config().ra_max_pages)
@@ -248,6 +253,7 @@ impl Os {
             // while its tail is still in flight.
             let mut io_clock = ThreadClock::detached_at(Arc::clone(self.global()), clock.now());
             let chunk_pages = (self.device().config().max_request_bytes / PAGE_SIZE).max(1);
+            let read_bw = self.device().config().read_bw;
             let mut chunk_ready: Vec<(u64, u64, u64)> = Vec::new();
             for &(s, e) in &scheduled {
                 let mut cursor = s;
@@ -264,7 +270,14 @@ impl Os {
                         upto - cursor,
                         IoPriority::Prefetch,
                     )?;
-                    push_interpolated_ready(&mut chunk_ready, cursor, upto, before, io_clock.now());
+                    push_interpolated_ready(
+                        &mut chunk_ready,
+                        cursor,
+                        upto,
+                        before,
+                        io_clock.now(),
+                        simclock::transfer_ns((upto - cursor) * PAGE_SIZE, read_bw),
+                    );
                     cursor = upto;
                 }
             }
@@ -286,18 +299,18 @@ impl Os {
                 }
             }
 
-            // Bias the recency of readahead pages slightly into the future:
-            // a page prefetched-but-not-yet-read must outrank just-consumed
-            // stream history in the LRU, or reclaim cannibalizes the window
-            // right before the reader arrives (the classic use-once-scan
-            // pathology; Linux protects readahead pages similarly).
-            let touch = clock.now() + PREFETCH_TOUCH_BIAS_NS;
-            {
-                let mut state = cache.state.write();
-                for &(s, e, ready) in &chunk_ready {
-                    initiated += state.insert_range_prefetched(s, e, touch, ready);
-                }
+            // Readahead pages take the newest LRU stamp, and their first
+            // read will not refresh it: a stream's consumed history stays
+            // older than the unread window, so reclaim never cannibalizes
+            // the window right before the reader arrives (the classic
+            // use-once-scan pathology).
+            let stamp = self.mem().lru_stamp();
+            for &(s, e, ready) in &chunk_ready {
+                initiated += state.insert_range_prefetched(s, e, stamp, ready);
             }
+        }
+        drop(state);
+        if issue {
             self.stats().prefetched_pages.add(initiated);
             if self.mem().note_inserted(initiated) {
                 self.reclaim(clock);
@@ -411,7 +424,7 @@ impl Os {
                 // with a demand read; let it.
                 return None;
             }
-            let (timely, late) = state.classify_access(p0, p1, clock.now());
+            let (timely, late) = state.classify_access(p0, p1, clock.now(), self.mem().lru_stamp());
             (timely, late, ready_at)
         };
         cache.hits.add(pages);
@@ -424,8 +437,6 @@ impl Os {
                 sink.emit_os_span(ready_at, OsSpanKind::ReadyWait, wait);
             }
         }
-        let now = clock.now();
-        cache.state.write().touch_range(p0, p1, now);
         clock.advance(costs.copy_pages_ns(pages));
         self.stats().bytes_read.add(len);
         self.stats().absorbed_reads.incr();
@@ -455,6 +466,16 @@ impl Os {
             prefetch_hit_pages: timely + late,
             bytes: len,
         })
+    }
+
+    /// The removal generation of `ino`'s cache state (see
+    /// [`crate::cache::CacheState::generation`]): it changes whenever any of the
+    /// file's pages leaves the cache. CROSS-OS shares it with user space
+    /// as a read-only counter, so CROSS-LIB can check the freshness of
+    /// its imported bitmap without a system call; no virtual time is
+    /// charged, as for any load from a shared page.
+    pub fn cache_generation(&self, ino: crate::InodeId) -> u64 {
+        self.cache(ino).state.read().generation()
     }
 
     /// Cancellation path of a speculative pre-issued read: re-flags the
@@ -488,28 +509,28 @@ impl Os {
     }
 }
 
-/// Recency bias for prefetched-but-unread pages (see the insert sites).
-pub(crate) const PREFETCH_TOUCH_BIAS_NS: u64 = 5 * simclock::NS_PER_MS;
-
-/// Records sub-chunk readiness for `[start, end)` filled between `t0` and
-/// `t1`: the device streams data in, so the front of a request becomes
-/// readable before its tail. Readiness is interpolated linearly over
-/// 32-page (128 KiB) sub-chunks, matching DMA-completion granularity.
+/// Records sub-chunk readiness for `[start, end)`, a request submitted at
+/// `t0` that completed at `t1` after transferring for `service_ns`: the
+/// device streams data in, so the front of a request becomes readable
+/// before its tail. Readiness is interpolated linearly over 32-page
+/// (128 KiB) sub-chunks, matching DMA-completion granularity, across the
+/// transfer itself — `ready_k = t1 - service * (1 - k/n)` — so time the
+/// request spent queued never makes its front look ready early.
 pub(crate) fn push_interpolated_ready(
     out: &mut Vec<(u64, u64, u64)>,
     start: u64,
     end: u64,
     t0: u64,
     t1: u64,
+    service_ns: u64,
 ) {
     const SUB_PAGES: u64 = 32;
-    let total = end - start;
-    let span = t1.saturating_sub(t0);
+    let total = (end - start).max(1);
+    let span = service_ns.min(t1.saturating_sub(t0));
     let mut cursor = start;
     while cursor < end {
         let upto = (cursor + SUB_PAGES).min(end);
-        let frac_num = upto - start;
-        let ready = t0 + span * frac_num / total.max(1);
+        let ready = t1 - span * (end - upto) / total;
         out.push((cursor, upto, ready));
         cursor = upto;
     }
@@ -835,6 +856,48 @@ mod tests {
         assert_eq!(os.prefetch_quality().wasted, 16);
         // Re-flagging an empty or absent range is a no-op.
         assert_eq!(os.mark_range_speculative(&mut clock, fd, 5, 5), 0);
+    }
+
+    #[test]
+    fn interpolated_readiness_spans_the_transfer_not_the_queueing() {
+        // 128 pages submitted at t=0 that queued until t=9_000 and then
+        // transferred for 1_000 ns: no sub-chunk is ready before 9_000.
+        let mut out = Vec::new();
+        push_interpolated_ready(&mut out, 0, 128, 0, 10_000, 1_000);
+        assert_eq!(
+            out,
+            vec![
+                (0, 32, 9_250),
+                (32, 64, 9_500),
+                (64, 96, 9_750),
+                (96, 128, 10_000)
+            ]
+        );
+        // A transfer estimate longer than the request's whole life is
+        // clamped to it.
+        out.clear();
+        push_interpolated_ready(&mut out, 0, 64, 1_000, 2_000, 5_000);
+        assert_eq!(out, vec![(0, 32, 1_500), (32, 64, 2_000)]);
+    }
+
+    #[test]
+    fn cache_generation_moves_only_when_pages_leave() {
+        let (os, fd, mut clock) = os_with_file(4 << 20);
+        let ino = os.fd_inode(fd);
+        os.readahead_info(
+            &mut clock,
+            fd,
+            RaInfoRequest::prefetch(0, 1 << 20).with_limit_pages(256),
+        );
+        os.read_charge(&mut clock, fd, 0, 64 * 1024);
+        assert_eq!(os.cache_generation(ino), 0);
+        os.fadvise(&mut clock, fd, crate::Advice::DontNeed, 0, 64 * 1024);
+        assert_eq!(os.cache_generation(ino), 1);
+        os.drop_caches(&mut clock);
+        assert_eq!(os.cache_generation(ino), 2);
+        // Nothing left to drop: the generation stays put.
+        os.drop_caches(&mut clock);
+        assert_eq!(os.cache_generation(ino), 2);
     }
 
     #[test]

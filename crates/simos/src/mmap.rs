@@ -95,12 +95,12 @@ impl Os {
                 let hold = costs.tree_insert_per_page_ns * total;
                 let tree = cache.tree_lock.write(clock.now(), hold);
                 clock.advance_to(tree.end_ns);
-                let now = clock.now();
+                let stamp = self.mem().lru_stamp();
                 let mut newly = 0;
                 {
                     let mut state = cache.state.write();
                     for &(s, e) in &missing {
-                        newly += state.insert_range(s, e, now, 0);
+                        newly += state.insert_range(s, e, stamp, 0);
                     }
                 }
                 if self.mem().note_inserted(newly) {
@@ -109,8 +109,8 @@ impl Os {
             }
             page += 1;
         }
-        let now = clock.now();
-        cache.state.write().touch_range(p0, p1, now);
+        let stamp = self.mem().lru_stamp();
+        cache.state.write().touch_range(p0, p1, stamp);
         outcome
     }
 }

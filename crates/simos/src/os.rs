@@ -451,11 +451,8 @@ impl Os {
     }
 
     /// Charges device reads for `pages` logical pages of `ino` starting at
-    /// `lstart`, one charge per physical extent. Single-device mode is the
-    /// historical inline loop; tiered mode first splits the range into
-    /// maximal same-tier runs, so one logical read may cross both devices,
-    /// and stamps the placement map's touch clock on success (promotion
-    /// payoff / demotion recency).
+    /// `lstart`, one charge per physical extent (see
+    /// [`Os::for_each_extent`]).
     pub(crate) fn charge_read_runs<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
@@ -464,23 +461,60 @@ impl Os {
         pages: u64,
         priority: IoPriority,
     ) -> Result<(), F::Error> {
+        self.for_each_extent(
+            clock,
+            ino,
+            lstart,
+            pages,
+            priority == IoPriority::Blocking,
+            |device, clock, blocks| F::charge_read(device, clock, blocks, priority),
+        )
+    }
+
+    /// Moves `pages` in-flight prefetched pages of `ino` from `lstart` to
+    /// demand priority ([`Device::charge_read_boost`]), one charge per
+    /// physical extent.
+    fn boost_read_runs(&self, clock: &mut ThreadClock, ino: InodeId, lstart: u64, pages: u64) {
+        into_ok(
+            self.for_each_extent(clock, ino, lstart, pages, true, |device, clock, blocks| {
+                device.charge_read_boost(clock, blocks);
+                Ok(())
+            }),
+        )
+    }
+
+    /// Runs `charge` for every physical extent of `pages` logical pages of
+    /// `ino` from `lstart`. Single-device mode is the historical inline
+    /// loop; tiered mode first splits the range into maximal same-tier
+    /// runs, so one logical read may cross both devices, and stamps the
+    /// placement map's touch clock after a `demand` read (promotion
+    /// payoff / demotion recency).
+    fn for_each_extent<E>(
+        &self,
+        clock: &mut ThreadClock,
+        ino: InodeId,
+        lstart: u64,
+        pages: u64,
+        demand: bool,
+        mut charge: impl FnMut(&Device, &mut ThreadClock, u64) -> Result<(), E>,
+    ) -> Result<(), E> {
         match &self.tiered {
             None => {
                 for run in self.fs.map_blocks(ino, lstart, pages) {
-                    F::charge_read(&self.device, clock, run.blocks, priority)?;
+                    charge(&self.device, clock, run.blocks)?;
                 }
             }
             Some(tiered) => {
                 for (s, c, tier) in tiered.split_runs(ino.0, lstart, pages) {
                     for run in self.fs.map_blocks(ino, s, c) {
-                        F::charge_read(tiered.device(tier), clock, run.blocks, priority)?;
+                        charge(tiered.device(tier), clock, run.blocks)?;
                     }
                 }
                 // Only a demand read counts as the application touching the
                 // range — prefetch passing over a promoted block must not
                 // clear its promoted-unread bit (that would launder wasted
                 // promotions into useful ones).
-                if priority == IoPriority::Blocking {
+                if demand {
                     tiered.note_read(ino.0, lstart, pages, clock.now());
                 }
             }
@@ -615,7 +649,7 @@ impl Os {
 
         let (missing, ready_at, present, prefetch_hit) = {
             let mut state = cache.state.write();
-            let (timely, late) = state.classify_access(p0, p1, clock.now());
+            let (timely, late) = state.classify_access(p0, p1, clock.now(), self.mem.lru_stamp());
             (
                 state.missing_runs(p0, p1),
                 state.ready_max(p0, p1),
@@ -630,47 +664,32 @@ impl Os {
 
         // Wait for in-flight prefetch covering this range — unless a
         // demand read would deliver sooner, in which case it overtakes the
-        // queued stream (NVMe serves demand I/O alongside background
+        // queued stream: the range's in-flight pages are dispatched at
+        // demand priority (NVMe serves demand I/O alongside background
         // streams; waiting longer than the demand cost for a queued
-        // readahead would be pathological). The duplicate device work is
-        // charged.
-        // Readiness applies only when the range actually has present
-        // (in-flight or cached) pages; `ready` is word-granular, and a
-        // fully-missing range must not wait on unrelated neighbours.
+        // readahead would be pathological). Readiness is per page and only
+        // present pages carry it, so a fully-missing range never waits on
+        // its neighbours, and an overtake makes ready only what it moved.
         if present > 0 {
             let refetch_estimate = self.device.config().read_request_latency_ns()
                 + simclock::transfer_ns(pages * PAGE_SIZE, self.device.config().read_bw);
             // Waiting up to about the demand cost for an in-flight page is
             // the normal prefetch-hit path; beyond twice that, overtaking
-            // the queued stream is strictly better even with the duplicate
-            // I/O.
+            // the queued stream is strictly better.
             let bypass_threshold = refetch_estimate * 2;
             let wait = ready_at.saturating_sub(clock.now());
             if wait > bypass_threshold {
                 let t0 = clock.now();
-                let bypass_ok = self
-                    .charge_read_runs::<F>(clock, entry.ino, p0, pages, IoPriority::Blocking)
-                    .is_ok();
-                if bypass_ok {
-                    let now = clock.now();
-                    cache.state.write().lower_ready(p0, p1, now);
-                    self.stats.demand_bypass_pages.add(present);
-                    self.stats.demand_fill_ns.add(now - t0);
-                    if let Some(sink) = spans {
-                        sink.emit_os_span(now, OsSpanKind::DeviceRead, now - t0);
-                    }
-                } else {
-                    // The overtake attempt hit a transient fault; the queued
-                    // prefetch stream is still coming, so fall back to
-                    // waiting for it rather than failing the read.
-                    let fallback_wait = ready_at.saturating_sub(clock.now());
-                    self.stats.ready_wait_ns.add(fallback_wait);
-                    clock.advance_to(ready_at);
-                    if fallback_wait > 0 {
-                        if let Some(sink) = spans {
-                            sink.emit_os_span(ready_at, OsSpanKind::ReadyWait, fallback_wait);
-                        }
-                    }
+                let inflight = cache.state.read().inflight_runs(p0, p1, t0);
+                for (start, end) in inflight {
+                    self.boost_read_runs(clock, entry.ino, start, end - start);
+                }
+                let now = clock.now();
+                cache.state.write().lower_ready(p0, p1, now);
+                self.stats.demand_bypass_pages.add(present);
+                self.stats.demand_fill_ns.add(now - t0);
+                if let Some(sink) = spans {
+                    sink.emit_os_span(now, OsSpanKind::DeviceRead, now - t0);
                 }
             } else {
                 self.stats.ready_wait_ns.add(wait);
@@ -723,12 +742,12 @@ impl Os {
                         sink.emit_os_span(access.end_ns, OsSpanKind::TreeLockWait, access.wait_ns);
                     }
                 }
-                let now = clock.now();
+                let stamp = self.mem.lru_stamp();
                 let mut newly = 0;
                 {
                     let mut state = cache.state.write();
                     for &(mstart, mend) in &filled {
-                        newly += state.insert_range(mstart, mend, now, 0);
+                        newly += state.insert_range(mstart, mend, stamp, 0);
                     }
                 }
                 if self.mem.note_inserted(newly) {
@@ -739,9 +758,6 @@ impl Os {
                 self.stats.demand_read_errors.incr();
                 return Err(err);
             }
-        } else {
-            let now = clock.now();
-            cache.state.write().touch_range(p0, p1, now);
         }
 
         // Copy to the user buffer.
@@ -823,7 +839,10 @@ impl Os {
         if start >= end {
             return Ok(0);
         }
-        let missing = cache.state.read().missing_runs(start, end);
+        // Scan, charge and insert form one step per inode (see
+        // `readahead_info`): no concurrent caller fetches these pages too.
+        let mut state = cache.state.write();
+        let missing = state.missing_runs(start, end);
         if missing.is_empty() {
             return Ok(0);
         }
@@ -845,6 +864,7 @@ impl Os {
         let mut io_clock = ThreadClock::detached_at(Arc::clone(&self.global), clock.now());
         let io_start_ns = io_clock.now();
         let chunk_pages = (self.device.config().max_request_bytes / PAGE_SIZE).max(1);
+        let read_bw = self.device.config().read_bw;
         let mut chunk_ready: Vec<(u64, u64, u64)> = Vec::new();
         for &(mstart, mend) in &missing {
             let mut cursor = mstart;
@@ -864,19 +884,17 @@ impl Os {
                     upto,
                     before,
                     io_clock.now(),
+                    simclock::transfer_ns((upto - cursor) * PAGE_SIZE, read_bw),
                 );
                 cursor = upto;
             }
         }
-        // Same readahead-page recency protection as the CROSS-OS path.
-        let touch = clock.now() + crate::crossos::PREFETCH_TOUCH_BIAS_NS;
+        let stamp = self.mem.lru_stamp();
         let mut newly = 0;
-        {
-            let mut state = cache.state.write();
-            for &(cstart, cend, ready) in &chunk_ready {
-                newly += state.insert_range_prefetched(cstart, cend, touch, ready);
-            }
+        for &(cstart, cend, ready) in &chunk_ready {
+            newly += state.insert_range_prefetched(cstart, cend, stamp, ready);
         }
+        drop(state);
         if io_clock.now() > io_start_ns {
             if let Some(sink) = spans {
                 sink.emit_os_span(
@@ -1019,7 +1037,7 @@ impl Os {
         let now = clock.now();
         let (newly, dirtied) = {
             let mut state = cache.state.write();
-            let newly = state.insert_range(p0, p1, now, 0);
+            let newly = state.insert_range(p0, p1, self.mem.lru_stamp(), 0);
             let dirtied = state.mark_dirty(p0, p1, now);
             (newly, dirtied)
         };
@@ -1340,13 +1358,13 @@ impl Os {
         let hold = costs.tree_insert_per_page_ns * total + costs.page_alloc_ns * total;
         let access = cache.tree_lock.write(clock.now(), hold);
         clock.advance_to(access.end_ns);
-        let touch = clock.now() + crate::crossos::PREFETCH_TOUCH_BIAS_NS;
+        let stamp = self.mem.lru_stamp();
         let ready = clock.now();
         let mut newly = 0;
         {
             let mut state = cache.state.write();
             for &(rs, rc) in &copied {
-                newly += state.insert_range_prefetched(rs, rs + rc, touch, ready);
+                newly += state.insert_range_prefetched(rs, rs + rc, stamp, ready);
             }
         }
         self.stats.prefetched_pages.add(newly);

@@ -10,10 +10,12 @@ use crate::cache::{InodeCache, PAGES_PER_WORD};
 /// Global page-cache memory accounting.
 ///
 /// `resident` tracks live cached pages across all files; inserting beyond
-/// the budget triggers reclaim, which evicts the least-recently-touched
+/// the budget triggers reclaim, which evicts the least-recently-used
 /// 64-page words across all files (an approximation of Linux's global
 /// active/inactive page LRU at the same granularity the CROSS-OS bitmap
-/// uses).
+/// uses). Recency is an *order*, as on Linux's LRU lists: every insertion
+/// or re-reference draws the next [`MemoryManager::lru_stamp`], so which
+/// word is oldest never depends on how fast the virtual clocks ran.
 #[derive(Debug)]
 pub struct MemoryManager {
     budget_pages: AtomicU64,
@@ -23,6 +25,8 @@ pub struct MemoryManager {
     pub evicted: Counter,
     /// Reclaim passes run.
     pub reclaim_runs: Counter,
+    /// Last LRU stamp handed out.
+    lru_clock: AtomicU64,
 }
 
 impl MemoryManager {
@@ -34,6 +38,7 @@ impl MemoryManager {
             dirty_pages: AtomicU64::new(0),
             evicted: Counter::new(),
             reclaim_runs: Counter::new(),
+            lru_clock: AtomicU64::new(0),
         }
     }
 
@@ -64,6 +69,12 @@ impl MemoryManager {
     /// Dirty pages awaiting writeback.
     pub fn dirty(&self) -> u64 {
         self.dirty_pages.load(Ordering::Relaxed)
+    }
+
+    /// The next LRU stamp: a recency event (insertion or re-reference)
+    /// is newer than every event stamped before it.
+    pub fn lru_stamp(&self) -> u64 {
+        self.lru_clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Records `n` pages inserted; returns `true` if reclaim is now needed.
@@ -122,10 +133,10 @@ impl MemoryManager {
     }
 }
 
-/// One reclaim candidate: `(touch, inode index, word index, pages)`.
+/// One reclaim candidate: `(LRU stamp, inode index, word index, pages)`.
 pub type Victim = (u64, usize, usize, u64);
 
-/// Selects the least-recently-touched words across `caches` totalling at
+/// Selects the least-recently-used words across `caches` totalling at
 /// least `target` pages. Pure selection — the caller evicts.
 pub fn select_victims(caches: &[Arc<InodeCache>], target: u64) -> Vec<Victim> {
     let mut candidates: Vec<Victim> = Vec::new();

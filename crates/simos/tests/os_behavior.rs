@@ -285,6 +285,51 @@ fn prefetch_wait_is_charged_when_reading_in_flight_pages() {
     let _ = bypass_before;
 }
 
+#[test]
+fn kv_record_read_after_a_jump_pays_one_device_wait() {
+    // A key-value file: 8-page records packed eight to a 64-page word,
+    // and an index region far away.
+    let os = boot(512);
+    let mut clock = os.new_clock();
+    let fd = os.create_sized(&mut clock, "/kv", 64 << 20).unwrap();
+    os.fadvise(&mut clock, fd, Advice::Random, 0, 0);
+    let read_pages = |clock: &mut simclock::ThreadClock, start: u64, pages: u64| {
+        let t0 = clock.now();
+        let outcome = os.read_charge(clock, fd, start * PAGE_SIZE, pages * PAGE_SIZE);
+        assert_eq!(outcome.pages, pages);
+        clock.now() - t0
+    };
+    // Record A lands: pages [0, 8).
+    read_pages(&mut clock, 0, 8);
+    // A long prefetch backlog, then the neighbouring records of the same
+    // word prefetched behind it: they land tens of milliseconds out.
+    os.readahead_info(
+        &mut clock,
+        fd,
+        simos::RaInfoRequest::prefetch(2048 * PAGE_SIZE, 32 << 20).with_limit_pages(8192),
+    );
+    let info = os.readahead_info(
+        &mut clock,
+        fd,
+        simos::RaInfoRequest::prefetch(16 * PAGE_SIZE, 48 * PAGE_SIZE).with_limit_pages(48),
+    );
+    assert!(info.ready_at_ns > clock.now() + 10_000_000);
+    // Jump: an index probe, then a record read over [4, 12): half landed
+    // (A's tail), half missing.
+    read_pages(&mut clock, 12_000, 1);
+    let bypass_before = os.stats().demand_bypass_pages.get();
+    let latency = read_pages(&mut clock, 4, 8);
+    // It pays for its own demand fill — one device round trip — and
+    // neither waits for nor overtakes the neighbours' queued fill.
+    let one_wait = os.device().config().read_request_latency_ns();
+    assert!(latency >= one_wait, "the missing half needs the device");
+    assert!(
+        latency < 2 * one_wait,
+        "record read paid {latency} ns, more than one device wait"
+    );
+    assert_eq!(os.stats().demand_bypass_pages.get(), bypass_before);
+}
+
 // ----- fault injection & fallible variants ---------------------------------
 
 mod faults {

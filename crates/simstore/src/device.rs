@@ -261,6 +261,33 @@ impl Device {
         Ok(())
     }
 
+    /// Charges moving `count` blocks of an already-queued prefetch request
+    /// to demand priority — a demand read overtaking that request. The
+    /// transfer queues only behind other demand reads and pays one
+    /// request latency. The blocks already hold their share of device
+    /// bandwidth on the prefetch horizon and cross the device once, so
+    /// neither bandwidth nor bytes are charged again and no fault is
+    /// drawn: nothing new is read.
+    pub fn charge_read_boost(&self, clock: &mut ThreadClock, count: u64) {
+        if count == 0 {
+            return;
+        }
+        let latency = self.config.read_request_latency_ns() + self.spike_extra(clock.now());
+        let mut remaining = count * BLOCK_SIZE as u64;
+        let mut completion = clock.now();
+        let mut first = true;
+        while remaining > 0 {
+            let chunk = remaining.min(self.config.max_request_bytes);
+            let service = transfer_ns(chunk, self.config.read_bw);
+            let access = self.read_blocking.access(clock.now(), service);
+            let lat = if first { latency } else { 0 };
+            completion = completion.max(access.end_ns + lat);
+            remaining -= chunk;
+            first = false;
+        }
+        clock.advance_to(completion);
+    }
+
     /// Extra fixed latency from the fault plan's spike windows at `now`.
     fn spike_extra(&self, now: u64) -> u64 {
         let extra = self

@@ -183,9 +183,9 @@ fn same_seed_runs_are_identical_for_every_engine() {
 fn quality_counters_sum_to_pages_initiated_for_every_engine() {
     for engine in EngineKind::all() {
         // 8 MB of memory against an 18 MiB dataset: eviction keeps cold
-        // pages uncached, so planned prefetches actually issue (and the
-        // stale-view watchdog resyncs the user-level tree, re-enabling
-        // prefetches of previously-read pages).
+        // pages uncached, so planned prefetches actually issue (and each
+        // eviction's cache-generation move resyncs the user-level tree,
+        // re-enabling prefetches of previously-read pages).
         let o = os(8);
         let mut config = RuntimeConfig::new(Mode::Predict);
         config.engine = engine;
