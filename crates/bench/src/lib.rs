@@ -302,7 +302,7 @@ mod tests {
         write_sidecar(&dir, "fig: test/cell", &rt);
         let path = dir.join("BENCH_fig__test_cell.json");
         let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"schema_version\":2"));
+        assert!(body.contains("\"schema_version\":3"));
         assert!(body.contains("\"histograms\""));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -3,8 +3,6 @@
 use predict::{AdaptiveConfig, CorrelationConfig, EngineConfig, EngineKind, SEQ_BATCH_PAGES};
 use simos::PAGE_SIZE;
 
-use crate::range_index::RangeIndexKind;
-
 /// The comparison mechanisms of the paper's Table 2 (plus the Figure 2
 /// fincore strawman).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -193,14 +191,6 @@ pub struct RuntimeConfig {
     /// speculative reads are cancelled and charged as wasted prefetch, so
     /// the bar is high by default.
     pub ring_spec_confidence: f64,
-    /// Per-file range-index implementation (§4.5). `BPlus` (the default)
-    /// is the arena-allocated B+ tree with dynamic leaf split/merge and
-    /// optimistic lock coupling; `Flat` keeps the legacy fixed-stride
-    /// node array for A/B runs. Both charge virtual time in identical
-    /// per-region quanta, so single-threaded telemetry is byte-identical
-    /// either way; they differ under real multi-thread contention, where
-    /// the B+ index's optimistic readers retry instead of queueing.
-    pub range_index: RangeIndexKind,
     /// Exemplar reservoir depth per latency class for causal span tracing
     /// ([`crate::span::SpanCollector`]): the slowest K reads of each class
     /// keep their complete span tree. Sizing only — span *collection*
@@ -258,7 +248,6 @@ impl RuntimeConfig {
             coalesce_prefetch: false,
             ring_submit: false,
             ring_spec_confidence: 0.9,
-            range_index: RangeIndexKind::BPlus,
             span_exemplars: 8,
             tenants: None,
             tiering: None,

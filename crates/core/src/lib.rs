@@ -9,9 +9,9 @@
 //! * a per-descriptor n-bit **access-pattern predictor**
 //!   ([`Predictor`], §4.6) driving exponential prefetch-window
 //!   growth;
-//! * a concurrent **range tree** with per-node locks and embedded bitmaps
-//!   ([`range_tree::RangeTree`], §4.5) as the user-level mirror of the
-//!   kernel's per-inode cache-state bitmap;
+//! * a concurrent **range tree** with per-leaf locks, embedded bitmaps and
+//!   dynamic split/merge ([`BPlusRangeIndex`], §4.5) as the user-level
+//!   mirror of the kernel's per-inode cache-state bitmap;
 //! * **background prefetch workers** ([`worker::WorkerPool`]) that issue
 //!   `readahead_info` calls off the application's critical path;
 //! * **memory-budget-aware aggressive prefetching and eviction**
@@ -54,7 +54,6 @@ mod config;
 pub mod metrics;
 pub mod policy;
 pub mod range_index;
-pub mod range_tree;
 mod read_path;
 pub mod ring;
 mod runtime;
@@ -74,8 +73,7 @@ pub use predict::{
     Engine, EngineConfig, EngineKind, Prediction, PredictionEngine, Predictor, PrefetchDecision,
     PrefetchRun, QualityFeedback, SEQ_BATCH_PAGES,
 };
-pub use range_index::{BPlusRangeIndex, FileRangeIndex, IndexStats, RangeIndex, RangeIndexKind};
-pub use range_tree::{LockScope, RangeTree};
+pub use range_index::{BPlusRangeIndex, IndexStats, LockScope};
 pub use ring::SpecRead;
 pub use runtime::{CpFile, LibFile, Runtime};
 pub use span::{

@@ -12,8 +12,7 @@
 use predict::EngineKind;
 
 use crate::config::{Features, Mode, RuntimeConfig};
-use crate::range_index::RangeIndexKind;
-use crate::range_tree::LockScope;
+use crate::range_index::LockScope;
 
 /// What the shim does when a file is opened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,9 +58,6 @@ pub struct Policy {
     pub open_action: OpenAction,
     /// Locking granularity of the user-level cache view.
     pub scope: LockScope,
-    /// Which range-index implementation backs each file's cache view
-    /// (flat fixed-stride vs the arena-allocated B+ tree).
-    pub index: RangeIndexKind,
     /// Post-read hooks, in execution order.
     pub post_read: Vec<PostReadHook>,
     /// Completion-driven ring: absorb fully-cached demand reads through
@@ -121,7 +117,6 @@ impl Policy {
             silence_heuristic_ra: features.intercepting() && !features.fincore_poll,
             open_action,
             scope,
-            index: config.range_index,
             post_read,
             ring: features.visibility && config.ring_submit,
             engine: if features.predict {
@@ -262,19 +257,6 @@ mod tests {
             Policy::for_config(&RuntimeConfig::new(Mode::PredictOpt)).engine,
             EngineKind::Strided
         );
-    }
-
-    #[test]
-    fn range_index_defaults_to_bplus_and_stays_selectable() {
-        for mode in Mode::table2() {
-            assert_eq!(
-                Policy::for_config(&RuntimeConfig::new(mode)).index,
-                RangeIndexKind::BPlus
-            );
-        }
-        let mut config = RuntimeConfig::new(Mode::Predict);
-        config.range_index = RangeIndexKind::Flat;
-        assert_eq!(Policy::for_config(&config).index, RangeIndexKind::Flat);
     }
 
     #[test]

@@ -1,12 +1,9 @@
-//! Word-at-a-time page presence bitmap shared by both range indexes.
+//! Word-at-a-time page presence bitmap embedded in every range-index leaf.
 //!
 //! One bit per page, packed 64 pages to a `u64`. All range operations work
 //! on masked whole words rather than bit-by-bit loops, so probing or marking
-//! a 4 MiB stripe touches 16 words instead of 1024 bits. The flat
-//! [`RangeTree`] embeds one `PageBitmap` per fixed stride node; the B+ index
-//! embeds one per dynamically-sized leaf.
-//!
-//! [`RangeTree`]: crate::range_tree::RangeTree
+//! a 4 MiB stripe touches 16 words instead of 1024 bits. The B+ index
+//! embeds one `PageBitmap` per dynamically-sized leaf.
 
 /// A growable page-presence bitmap with word-masked bulk operations.
 ///

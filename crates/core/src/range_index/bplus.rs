@@ -1,10 +1,9 @@
 //! Arena-allocated B+ tree range index with optimistic lock coupling.
 //!
-//! The paper's §4.5 structure done properly: leaves cover dynamically
-//! split/merged page ranges (not fixed strides) and embed a [`PageBitmap`];
-//! inner nodes hold routing separators. All nodes live in one slot arena
-//! (`Vec<Slot>` + free list), so a descent touches index-dense memory
-//! rather than pointer-chased heap nodes.
+//! The paper's §4.5 structure: leaves cover dynamically split/merged page
+//! ranges and embed a [`PageBitmap`]; inner nodes hold routing separators.
+//! All nodes live in one slot arena (`Vec<Slot>` + free list), so a descent
+//! touches index-dense memory rather than pointer-chased heap nodes.
 //!
 //! # Concurrency (real machine)
 //!
@@ -22,14 +21,15 @@
 //!
 //! # Contention model (virtual time)
 //!
-//! Charges are quantised per [`NODE_PAGES`]-aligned region exactly like the
-//! flat tree — same count, same hold times — so single-threaded timelines
-//! are byte-identical whichever index is selected. The difference is
-//! contended reads under [`LockScope::PerNode`]: instead of queueing behind
-//! an in-service writer (`RwContention::read`), an optimistic descent
-//! validates, fails, and re-descends, paying
-//! `min(range_index_retry_ns, blocking wait)`. Structural work charges
-//! `range_index_{descent,split,merge}_ns` (default 0 — see the cost model).
+//! Every operation pays one lock hold of `range_tree_op_ns +
+//! bitmap_scan_ns(pages)` per touched [`NODE_PAGES`]-aligned region chunk
+//! (a clear, one full-region hold per region ever populated), independent
+//! of leaf geometry; descents and split/merge restructuring are amortised
+//! into that hold. Writers take the leaf's exclusive side and queue behind
+//! each other. Contended reads under [`LockScope::PerNode`] do not queue
+//! behind an in-service writer (`RwContention::read`): an optimistic
+//! descent validates, fails, and re-descends, paying
+//! `min(range_index_retry_ns, blocking wait)`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -39,10 +39,9 @@ use simclock::{CostModel, Counter, Histogram, RwContention, ThreadClock};
 
 use super::bitmap::PageBitmap;
 use super::IndexStats;
-use crate::range_tree::{LockScope, NODE_PAGES};
+use super::{LockScope, NODE_PAGES};
 
-/// Maximum pages one leaf may span — the flat tree's stride, so the
-/// per-region charge quanta line up across implementations.
+/// Maximum pages one leaf may span: one charge region (4 MiB).
 pub const LEAF_SPAN_PAGES: u64 = NODE_PAGES;
 
 /// Maximum routing separators per inner node (fanout 9; small enough that
@@ -443,8 +442,8 @@ pub struct BPlusRangeIndex {
     core: RwLock<TreeCore>,
     /// Figure-6 baseline: one lock for the whole file.
     whole_file_lock: RwContention,
-    /// Charged for probes of regions no leaf covers yet (the flat tree
-    /// charges an auto-allocated empty node there; probes never contend).
+    /// Charged for probes of regions no leaf covers yet (probes never
+    /// contend: nothing writes an uncovered region).
     probe_lock: RwContention,
     wait_hist: OnceLock<Arc<Histogram>>,
     splits: Counter,
@@ -482,20 +481,8 @@ impl BPlusRangeIndex {
         }
     }
 
-    /// Charges the per-level descent cost (a no-op at the default of 0,
-    /// which keeps the flat-vs-B+ swap timing-neutral).
-    fn charge_descent(&self, clock: &mut ThreadClock, costs: &CostModel) {
-        if costs.range_index_descent_ns == 0 {
-            return;
-        }
-        let depth = u64::from(self.core.read().depth);
-        if depth > 0 {
-            clock.advance(depth * costs.range_index_descent_ns);
-        }
-    }
-
     /// Exclusive acquisition: writers lock-couple down to the leaf and
-    /// charge its write side, exactly as the flat tree charges its node.
+    /// charge its write side.
     fn charge_write(
         &self,
         clock: &mut ThreadClock,
@@ -640,13 +627,7 @@ impl BPlusRangeIndex {
     /// the remainder is chopped into span-capped leaves, and touched
     /// boundaries whose union still fits one leaf are re-absorbed.
     /// Returns the first covering leaf's guts.
-    fn ensure_covered(
-        &self,
-        clock: &mut ThreadClock,
-        costs: &CostModel,
-        start: u64,
-        end: u64,
-    ) -> Arc<LeafGuts> {
+    fn ensure_covered(&self, start: u64, end: u64) -> Arc<LeafGuts> {
         if let Some(owner) = self.covered_owner(start, end) {
             return owner;
         }
@@ -689,10 +670,6 @@ impl BPlusRangeIndex {
         }
         if merges > 0 {
             self.merges.add(merges);
-        }
-        let structural = splits * costs.range_index_split_ns + merges * costs.range_index_merge_ns;
-        if structural > 0 {
-            clock.advance(structural);
         }
         owner
     }
@@ -843,9 +820,11 @@ impl BPlusRangeIndex {
 
     /// Marks `[start, end)` as cached. Returns pages newly marked.
     ///
-    /// Mirrors the flat tree's hot path: a fully-marked region chunk takes
-    /// only the shared (optimistic) side; the exclusive side is paid just
-    /// when bits actually change.
+    /// The hot path — re-marking pages already marked, which happens on
+    /// every cached read — takes only the shared (optimistic) side of a
+    /// region chunk; the exclusive side is paid just when bits actually
+    /// change, so threads hammering one hot leaf do not serialize on
+    /// redundant writes.
     pub fn mark_cached(
         &self,
         clock: &mut ThreadClock,
@@ -857,7 +836,6 @@ impl BPlusRangeIndex {
         if start >= end {
             return 0;
         }
-        self.charge_descent(clock, costs);
         let mut newly = 0;
         let mut page = start;
         while page < end {
@@ -867,7 +845,7 @@ impl BPlusRangeIndex {
                     self.charge_read(clock, costs, scope, &guts.lock_model, upto - page);
                 }
                 None => {
-                    let owner = self.ensure_covered(clock, costs, page, upto);
+                    let owner = self.ensure_covered(page, upto);
                     self.charge_write(clock, costs, scope, &owner.lock_model, upto - page);
                     newly += self.set_bits(page, upto);
                 }
@@ -890,7 +868,6 @@ impl BPlusRangeIndex {
         if start >= end {
             return missing;
         }
-        self.charge_descent(clock, costs);
         let mut open: Option<u64> = None;
         let mut page = start;
         while page < end {
@@ -970,9 +947,9 @@ impl BPlusRangeIndex {
     ///
     /// Leaves are kept (zeroed, like a kernel bitmap that stays allocated)
     /// and one exclusive charge is paid per ever-populated
-    /// [`NODE_PAGES`]-region, matching the flat tree's clear billing.
+    /// [`NODE_PAGES`]-region, so clearing a sparse view is not billed as a
+    /// full-file scan.
     pub fn clear(&self, clock: &mut ThreadClock, costs: &CostModel, scope: LockScope) -> u64 {
-        self.charge_descent(clock, costs);
         let (regions, leaves): (Vec<Arc<LeafGuts>>, Vec<Arc<LeafGuts>>) = {
             let core = self.core.read();
             let mut by_region = std::collections::BTreeMap::new();
@@ -1160,58 +1137,9 @@ impl Default for BPlusRangeIndex {
     }
 }
 
-impl super::RangeIndex for BPlusRangeIndex {
-    fn set_wait_histogram(&self, hist: Arc<Histogram>) {
-        BPlusRangeIndex::set_wait_histogram(self, hist);
-    }
-
-    fn mark_cached(
-        &self,
-        clock: &mut ThreadClock,
-        costs: &CostModel,
-        scope: LockScope,
-        start: u64,
-        end: u64,
-    ) -> u64 {
-        BPlusRangeIndex::mark_cached(self, clock, costs, scope, start, end)
-    }
-
-    fn missing_in(
-        &self,
-        clock: &mut ThreadClock,
-        costs: &CostModel,
-        scope: LockScope,
-        start: u64,
-        end: u64,
-    ) -> Vec<(u64, u64)> {
-        BPlusRangeIndex::missing_in(self, clock, costs, scope, start, end)
-    }
-
-    fn clear(&self, clock: &mut ThreadClock, costs: &CostModel, scope: LockScope) -> u64 {
-        BPlusRangeIndex::clear(self, clock, costs, scope)
-    }
-
-    fn resident(&self) -> u64 {
-        BPlusRangeIndex::resident(self)
-    }
-
-    fn lock_wait_ns(&self) -> u64 {
-        BPlusRangeIndex::lock_wait_ns(self)
-    }
-
-    fn whole_file_wait_ns(&self) -> u64 {
-        BPlusRangeIndex::whole_file_wait_ns(self)
-    }
-
-    fn index_stats(&self) -> IndexStats {
-        BPlusRangeIndex::stats(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::range_tree::RangeTree;
     use simclock::GlobalClock;
 
     fn clock() -> ThreadClock {
@@ -1384,83 +1312,27 @@ mod tests {
     }
 
     #[test]
-    fn single_threaded_timeline_matches_flat_tree_exactly() {
-        // The determinism gate in miniature: a deterministic op mix must
-        // leave both indexes with identical results, identical clocks, and
-        // zero lock waits.
-        let flat = RangeTree::new();
-        let bplus = BPlusRangeIndex::new();
-        let costs = costs();
-        let mut cf = clock();
-        let mut cb = clock();
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        for round in 0..300 {
-            let a = next() % 9_000;
-            let b = (a + 1 + next() % 2_500).min(9_000);
-            let scope = if next() % 8 == 0 {
-                LockScope::WholeFile
-            } else {
-                LockScope::PerNode
-            };
-            match next() % 4 {
-                0 | 1 => {
-                    let nf = flat.mark_cached(&mut cf, &costs, scope, a, b);
-                    let nb = bplus.mark_cached(&mut cb, &costs, scope, a, b);
-                    assert_eq!(nf, nb, "round {round}: newly-marked must match");
-                }
-                2 => {
-                    let mf = flat.missing_in(&mut cf, &costs, scope, a, b);
-                    let mb = bplus.missing_in(&mut cb, &costs, scope, a, b);
-                    assert_eq!(mf, mb, "round {round}: missing runs must match");
-                }
-                _ => {
-                    let df = flat.clear(&mut cf, &costs, scope);
-                    let db = bplus.clear(&mut cb, &costs, scope);
-                    assert_eq!(df, db, "round {round}: cleared count must match");
-                }
-            }
-            assert_eq!(cf.now(), cb.now(), "round {round}: clocks must stay equal");
-        }
-        assert_eq!(flat.resident(), bplus.resident());
-        assert_eq!(flat.lock_wait_ns(), 0);
-        assert_eq!(bplus.lock_wait_ns(), 0);
-        assert_eq!(bplus.stats().optimistic_retries, 0);
-        bplus.check_invariants();
-    }
-
-    #[test]
     fn optimistic_reader_pays_retry_penalty_not_blocking_wait() {
-        let bplus = BPlusRangeIndex::new();
-        let flat = RangeTree::new();
+        let tree = BPlusRangeIndex::new();
         let costs = costs();
         // Writer marks the range; its exclusive hold spans virtual time
         // [0, hold). A second thread (fresh clock at 0) re-marks: the
         // already-marked probe takes the shared side against the busy
         // writer.
+        let hold = costs.range_tree_op_ns + costs.bitmap_scan_ns(512);
         let mut w = clock();
-        bplus.mark_cached(&mut w, &costs, LockScope::PerNode, 0, 512);
+        tree.mark_cached(&mut w, &costs, LockScope::PerNode, 0, 512);
+        assert_eq!(w.now(), hold);
         let mut r = clock();
-        bplus.mark_cached(&mut r, &costs, LockScope::PerNode, 0, 512);
-        let stats = bplus.stats();
-        assert_eq!(stats.optimistic_retries, 1);
-        assert_eq!(bplus.lock_wait_ns(), costs.range_index_retry_ns);
-
-        // The flat (pessimistic) reader blocks until the writer drains.
-        let mut fw = clock();
-        flat.mark_cached(&mut fw, &costs, LockScope::PerNode, 0, 512);
-        let mut fr = clock();
-        flat.mark_cached(&mut fr, &costs, LockScope::PerNode, 0, 512);
-        assert!(
-            flat.lock_wait_ns() > bplus.lock_wait_ns(),
-            "optimistic retry must undercut the blocking wait"
-        );
-        assert!(r.now() < fr.now(), "optimistic reader finishes earlier");
+        tree.mark_cached(&mut r, &costs, LockScope::PerNode, 0, 512);
+        assert_eq!(tree.stats().optimistic_retries, 1);
+        assert_eq!(tree.lock_wait_ns(), costs.range_index_retry_ns);
+        // A blocking reader would queue until the writer drains at `hold`
+        // and finish at `2 * hold`; the optimistic one re-descends after
+        // the retry penalty instead.
+        assert!(costs.range_index_retry_ns < hold);
+        assert_eq!(r.now(), costs.range_index_retry_ns + hold);
+        assert!(r.now() < 2 * hold, "optimistic reader finishes earlier");
     }
 
     #[test]

@@ -37,7 +37,6 @@ use simos::{IoError, ReadOutcome, PAGE_SIZE};
 
 use crate::metrics::{PipelineStage, ReadClass};
 use crate::policy::PostReadHook;
-use crate::range_index::RangeIndex;
 use crate::runtime::CpFile;
 use crate::trace::{LookupOutcome, TraceEventKind};
 

@@ -16,8 +16,7 @@ use simos::{
 use crate::config::{Features, Mode, RuntimeConfig};
 use crate::metrics::RuntimeMetrics;
 use crate::policy::{OpenAction, Policy};
-use crate::range_index::{FileRangeIndex, IndexStats, RangeIndex};
-use crate::range_tree::LockScope;
+use crate::range_index::{BPlusRangeIndex, IndexStats, LockScope};
 use crate::ring::SpecRead;
 use crate::span::{CrossLayerSink, SpanCollector, SpanKind};
 use crate::stats::LibStats;
@@ -34,9 +33,8 @@ pub struct LibFile {
     pub ino: InodeId,
     /// A descriptor the runtime owns for issuing prefetch/advice calls.
     pub(crate) prefetch_fd: Fd,
-    /// User-level cache view with per-range locking (flat or B+ per
-    /// `RuntimeConfig::range_index`).
-    pub(crate) tree: FileRangeIndex,
+    /// User-level cache view with per-range locking.
+    pub(crate) tree: BPlusRangeIndex,
     /// Virtual time of the most recent application access.
     pub(crate) last_access_ns: AtomicU64,
     /// Reads since the last fincore poll (FincoreApp mode).
@@ -288,7 +286,7 @@ impl Runtime {
 
     fn lib_file(&self, ino: InodeId, fd: Fd) -> Arc<LibFile> {
         self.inner.files.get_or_insert_with(ino.0, || {
-            let tree = FileRangeIndex::new(self.inner.policy.index);
+            let tree = BPlusRangeIndex::new();
             tree.set_wait_histogram(Arc::clone(&self.inner.metrics.lib_lock_wait_ns));
             Arc::new(LibFile {
                 ino,
@@ -1001,17 +999,12 @@ impl Runtime {
         self.inner.files.stats()
     }
 
-    /// The configured range-index implementation's stable name.
-    pub fn range_index_kind(&self) -> &'static str {
-        self.inner.policy.index.name()
-    }
-
     /// Structural statistics aggregated across every file's range index
     /// (depth takes the max; leaves, splits, merges, retries sum).
     pub fn range_index_stats(&self) -> IndexStats {
         let mut total = IndexStats::default();
         for file in self.inner.inner_files() {
-            total.absorb(&file.tree.index_stats());
+            total.absorb(&file.tree.stats());
         }
         total
     }

@@ -21,7 +21,8 @@ use crate::Runtime;
 /// Version stamped into every JSON export; bump on breaking layout change.
 /// Version 2 removed the `batching` section and the `ring` section's
 /// `demand_batch_calls`, `staged_runs_piggybacked` and `timer_fires`.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 2;
+/// Version 3 removed the `range_index` section's `kind`.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 3;
 
 /// A point-in-time snapshot of the cross-layered telemetry.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,20 +129,16 @@ pub struct RuntimeReport {
     pub ring_spec_cancelled: u64,
     /// Pages cancelled speculations re-entered into the quality ledger.
     pub ring_spec_pages_charged: u64,
-    /// Which range-index implementation backs the per-file cache views
-    /// ([`crate::RangeIndexKind::name`], policy-resolved).
-    pub range_index_kind: &'static str,
-    /// Deepest per-file tree (1 = a lone leaf root; the flat tree reports
-    /// 1 whenever any node exists).
+    /// Deepest per-file range index (1 = a lone leaf root).
     pub range_index_depth: u64,
-    /// Leaves (flat: fixed-stride nodes) allocated across files.
+    /// Leaves allocated across files.
     pub range_index_leaves: u64,
-    /// Leaf splits performed (0 for the flat tree).
+    /// Leaf splits performed.
     pub range_index_splits: u64,
-    /// Adjacent-leaf merges performed (0 for the flat tree).
+    /// Adjacent-leaf merges performed.
     pub range_index_merges: u64,
     /// Optimistic read descents that failed version validation and paid
-    /// the re-descent penalty (0 single-threaded and for the flat tree).
+    /// the re-descent penalty (0 single-threaded).
     pub range_index_retries: u64,
     /// Per-stage virtual-time cost of the staged read pipeline, in
     /// [`PipelineStage::all`] order as `(stage name, distribution)`.
@@ -309,7 +306,6 @@ impl RuntimeReport {
             ring_spec_absorbed: stats.ring_spec_absorbed.get(),
             ring_spec_cancelled: stats.ring_spec_cancelled.get(),
             ring_spec_pages_charged: stats.ring_spec_pages_charged.get(),
-            range_index_kind: runtime.range_index_kind(),
             range_index_depth: index_stats.depth,
             range_index_leaves: index_stats.leaves,
             range_index_splits: index_stats.splits,
@@ -487,7 +483,6 @@ impl RuntimeReport {
             ring_spec_pages_charged: self
                 .ring_spec_pages_charged
                 .saturating_sub(earlier.ring_spec_pages_charged),
-            range_index_kind: self.range_index_kind,
             range_index_depth: self.range_index_depth,
             range_index_leaves: self.range_index_leaves,
             range_index_splits: self
@@ -780,10 +775,6 @@ impl RuntimeReport {
         // Range-index structure (additive; depth/leaves describe current
         // shape, the rest are monotone event counters).
         out.push_str("\"range_index\":{");
-        out.push_str(&format!(
-            "\"kind\":\"{}\",",
-            json_escape(self.range_index_kind)
-        ));
         push_field(&mut out, "depth", self.range_index_depth);
         push_field(&mut out, "leaves", self.range_index_leaves);
         push_field(&mut out, "splits", self.range_index_splits);
@@ -1051,8 +1042,7 @@ impl fmt::Display for RuntimeReport {
         )?;
         writeln!(
             f,
-            "range-index: {} (depth {}, {} leaves, {} splits, {} merges, {} optimistic retries)",
-            self.range_index_kind,
+            "range-index: depth {}, {} leaves, {} splits, {} merges, {} optimistic retries",
             self.range_index_depth,
             self.range_index_leaves,
             self.range_index_splits,
@@ -1264,7 +1254,7 @@ mod tests {
         }
         let json = RuntimeReport::collect(&rt).to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"schema_version\":2"));
+        assert!(json.contains("\"schema_version\":3"));
         assert!(json.contains("\"read_cache_hit_ns\""));
         assert!(json.contains("\"prefetch_quality\""));
         // Balanced braces and quotes — cheap structural sanity without a

@@ -211,12 +211,12 @@ fn whole_file_lock_contends_at_saturation_per_node_does_not() {
     // bitmap lock serializes them while per-node locks on disjoint ranges
     // do not. (The end-to-end throughput ladder is regenerated by
     // `cargo bench -p cp-bench --bench tab05_breakdown`.)
-    use crossprefetch::{LockScope, RangeTree};
+    use crossprefetch::{BPlusRangeIndex, LockScope};
     use simclock::{CostModel, GlobalClock, ThreadClock};
 
     let costs = CostModel::default();
     let run = |scope_kind: LockScope| {
-        let tree = std::sync::Arc::new(RangeTree::new());
+        let tree = std::sync::Arc::new(BPlusRangeIndex::new());
         crossbeam::scope(|scope| {
             for t in 0..8u64 {
                 let tree = std::sync::Arc::clone(&tree);

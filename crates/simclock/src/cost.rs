@@ -49,19 +49,6 @@ pub struct CostModel {
     pub fault_ns: u64,
     /// Minor cost of touching an already-resident mapped page.
     pub mmap_minor_ns: u64,
-    /// Per-level descent charge of the B+ range index (version probe per
-    /// inner node). Defaults to 0: `range_tree_op_ns` already amortises a
-    /// shallow descent, and a zero default keeps the flat-vs-B+ index swap
-    /// timing-neutral for the single-threaded determinism gate. Raise it
-    /// for sensitivity runs.
-    pub range_index_descent_ns: u64,
-    /// Structural charge per leaf split in the B+ range index (arena
-    /// allocation + key insertion along the spine). Defaults to 0 for the
-    /// same timing-neutrality reason as `range_index_descent_ns`.
-    pub range_index_split_ns: u64,
-    /// Structural charge per leaf merge in the B+ range index (bitmap
-    /// word-OR + key removal along the spine). Defaults to 0.
-    pub range_index_merge_ns: u64,
     /// Penalty an optimistic read descent pays when version validation
     /// fails against a writer in service and the reader re-descends
     /// instead of blocking (always capped at the blocking wait it
@@ -113,9 +100,6 @@ impl Default for CostModel {
             range_tree_op_ns: 90,
             fault_ns: 1_500,
             mmap_minor_ns: 120,
-            range_index_descent_ns: 0,
-            range_index_split_ns: 0,
-            range_index_merge_ns: 0,
             range_index_retry_ns: 120,
         }
     }

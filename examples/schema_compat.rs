@@ -7,8 +7,7 @@
 //! `tenants`, and `tiering` sections, and compares the result byte-for-byte against the checked-in
 //! pre-span baseline (`tests/data/telemetry_schema_baseline.json`). Any
 //! other byte difference means a knob that should be inert changed the
-//! schema surface — including swapping the flat range tree for the B+
-//! index, which must leave every pre-existing field byte-identical.
+//! schema surface.
 //!
 //! Usage:
 //!   cargo run --release --example schema_compat            # verify

@@ -1,14 +1,28 @@
 //! Property-based tests over the core data structures and invariants.
 
-use crossprefetch::{BPlusRangeIndex, Direction, LockScope, Mode, Predictor, RangeTree, Runtime};
+use crossprefetch::range_index::NODE_PAGES;
+use crossprefetch::{BPlusRangeIndex, Direction, LockScope, Mode, Predictor, Runtime};
 use proptest::prelude::*;
 use simclock::{CostModel, FcfsResource, GlobalClock, ThreadClock};
 use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 fn clock() -> ThreadClock {
     ThreadClock::new(Arc::new(GlobalClock::new()))
+}
+
+/// Closed-form virtual time of one uncontended range-index query or mark
+/// over `[start, end)`: one lock hold per touched `NODE_PAGES` region chunk.
+fn range_charge_ns(costs: &CostModel, start: u64, end: u64) -> u64 {
+    let mut total = 0;
+    let mut page = start;
+    while page < end {
+        let upto = end.min((page / NODE_PAGES + 1) * NODE_PAGES);
+        total += costs.range_tree_op_ns + costs.bitmap_scan_ns(upto - page);
+        page = upto;
+    }
+    total
 }
 
 proptest! {
@@ -86,36 +100,6 @@ proptest! {
         prop_assert_eq!(pred.direction, Direction::Forward);
     }
 
-    // ---- range tree ----------------------------------------------------------
-
-    #[test]
-    fn range_tree_matches_reference_set(ops in prop::collection::vec((0u64..4096, 1u64..128, prop::bool::ANY), 1..60)) {
-        let tree = RangeTree::new();
-        let costs = CostModel::default();
-        let mut clk = clock();
-        let mut reference: HashSet<u64> = HashSet::new();
-        for (start, len, is_clear) in ops {
-            if is_clear {
-                tree.clear(&mut clk, &costs, LockScope::PerNode);
-                reference.clear();
-            } else {
-                tree.mark_cached(&mut clk, &costs, LockScope::PerNode, start, start + len);
-                reference.extend(start..start + len);
-            }
-        }
-        prop_assert_eq!(tree.resident(), reference.len() as u64);
-        // Missing ranges must be exactly the complement.
-        let missing = tree.missing_in(&mut clk, &costs, LockScope::PerNode, 0, 5000);
-        let missing_pages: u64 = missing.iter().map(|&(s, e)| e - s).sum();
-        let reference_in_range = reference.iter().filter(|&&p| p < 5000).count() as u64;
-        prop_assert_eq!(missing_pages, 5000 - reference_in_range);
-        for (s, e) in missing {
-            for p in s..e {
-                prop_assert!(!reference.contains(&p), "page {p} wrongly missing");
-            }
-        }
-    }
-
     // ---- B+ range index -------------------------------------------------------
 
     #[test]
@@ -149,41 +133,47 @@ proptest! {
     }
 
     #[test]
-    fn flat_and_bplus_agree_and_tick_identically(ops in prop::collection::vec((0u64..6000, 1u64..600, 0u8..4, prop::bool::ANY), 1..50)) {
-        // The charging-parity contract as a property: any single-threaded
-        // op mix leaves both indexes with the same answers AND the same
-        // virtual clock, under either lock scope.
-        let flat = RangeTree::new();
-        let bplus = BPlusRangeIndex::new();
+    fn bplus_ticks_closed_form_charge_single_threaded(ops in prop::collection::vec((0u64..6000, 1u64..600, 0u8..4, prop::bool::ANY), 1..50)) {
+        // The single-threaded charging contract: under either lock scope,
+        // every op advances the virtual clock by exactly one lock hold per
+        // touched region chunk (a clear, per region ever populated), with
+        // no lock wait and no optimistic retry.
+        let tree = BPlusRangeIndex::new();
         let costs = CostModel::default();
-        let mut cf = clock();
-        let mut cb = clock();
+        let mut clk = clock();
+        let mut reference: HashSet<u64> = HashSet::new();
+        let mut populated: BTreeSet<u64> = BTreeSet::new();
         for (start, len, op, whole_file) in ops {
             let scope = if whole_file { LockScope::WholeFile } else { LockScope::PerNode };
             let (a, b) = (start, start + len);
-            match op {
+            let before = clk.now();
+            let expected = match op {
                 0 | 1 => {
-                    let nf = flat.mark_cached(&mut cf, &costs, scope, a, b);
-                    let nb = bplus.mark_cached(&mut cb, &costs, scope, a, b);
-                    prop_assert_eq!(nf, nb);
+                    let newly = tree.mark_cached(&mut clk, &costs, scope, a, b);
+                    let fresh = (a..b).filter(|p| reference.insert(*p)).count() as u64;
+                    prop_assert_eq!(newly, fresh);
+                    populated.extend(a / NODE_PAGES..=(b - 1) / NODE_PAGES);
+                    range_charge_ns(&costs, a, b)
                 }
                 2 => {
-                    let mf = flat.missing_in(&mut cf, &costs, scope, a, b);
-                    let mb = bplus.missing_in(&mut cb, &costs, scope, a, b);
-                    prop_assert_eq!(mf, mb);
+                    let missing = tree.missing_in(&mut clk, &costs, scope, a, b);
+                    let missing_pages: u64 = missing.iter().map(|&(s, e)| e - s).sum();
+                    let cached = (a..b).filter(|p| reference.contains(p)).count() as u64;
+                    prop_assert_eq!(missing_pages, len - cached);
+                    range_charge_ns(&costs, a, b)
                 }
                 _ => {
-                    let df = flat.clear(&mut cf, &costs, scope);
-                    let db = bplus.clear(&mut cb, &costs, scope);
-                    prop_assert_eq!(df, db);
+                    prop_assert_eq!(tree.clear(&mut clk, &costs, scope), reference.len() as u64);
+                    reference.clear();
+                    populated.len() as u64 * (costs.range_tree_op_ns + costs.bitmap_scan_ns(NODE_PAGES))
                 }
-            }
-            prop_assert_eq!(cf.now(), cb.now(), "virtual clocks diverged");
+            };
+            prop_assert_eq!(clk.now() - before, expected, "op {} over [{}, {})", op, a, b);
         }
-        prop_assert_eq!(flat.resident(), bplus.resident());
-        prop_assert_eq!(flat.lock_wait_ns(), 0);
-        prop_assert_eq!(bplus.lock_wait_ns(), 0);
-        bplus.check_invariants();
+        prop_assert_eq!(tree.resident(), reference.len() as u64);
+        prop_assert_eq!(tree.lock_wait_ns(), 0);
+        prop_assert_eq!(tree.stats().optimistic_retries, 0);
+        tree.check_invariants();
     }
 
     // ---- OS cache accounting ---------------------------------------------------

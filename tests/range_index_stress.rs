@@ -7,7 +7,7 @@
 //!   the final cached-page set is the union of every marked range, which
 //!   is independent of thread interleaving — so two runs with the same
 //!   seed must report the identical `(resident, missing_in)` answer, and
-//!   it must match a single-threaded reference replay. (Leaf *geometry* —
+//!   it must match a plain page-set model of the same ranges. (Leaf *geometry* —
 //!   who split where — legitimately depends on interleaving and is not
 //!   asserted; the structural invariants are checked instead.)
 //! * **Invariants and accounting under mixed ops.** With clears in the
@@ -18,7 +18,7 @@
 use std::sync::Arc;
 use std::thread;
 
-use crossprefetch::{BPlusRangeIndex, LockScope, RangeIndex, RangeTree};
+use crossprefetch::{BPlusRangeIndex, LockScope};
 use simclock::{CostModel, GlobalClock, ThreadClock};
 
 const THREADS: u64 = 8;
@@ -82,19 +82,31 @@ fn same_seed_stress_is_deterministic_and_matches_reference() {
             "seed {seed:#x}: same-seed runs diverged in final page set"
         );
 
-        // Single-threaded replay through the flat tree as the reference
-        // model: union of ranges is interleaving-independent, so the
-        // concurrent B+ result must match it exactly.
-        let reference = RangeTree::new();
-        let costs = CostModel::default();
-        let mut clock = ThreadClock::new(Arc::new(GlobalClock::new()));
+        // Page-set model: union of ranges is interleaving-independent, so
+        // the concurrent B+ result must match it exactly.
+        let mut reference = vec![false; SPACE as usize];
         for t in 0..THREADS {
             for (start, end) in ops_for(seed, t) {
-                reference.mark_cached(&mut clock, &costs, LockScope::PerNode, start, end);
+                reference[start as usize..end as usize].fill(true);
             }
         }
-        let ref_missing = reference.missing_in(&mut clock, &costs, LockScope::PerNode, 0, SPACE);
-        assert_eq!(first.0, reference.resident(), "seed {seed:#x}: resident");
+        let ref_resident = reference.iter().filter(|&&cached| cached).count() as u64;
+        let mut ref_missing = Vec::new();
+        let mut open: Option<u64> = None;
+        for (page, &cached) in reference.iter().enumerate() {
+            match (cached, open) {
+                (false, None) => open = Some(page as u64),
+                (true, Some(s)) => {
+                    ref_missing.push((s, page as u64));
+                    open = None;
+                }
+                _ => {}
+            }
+        }
+        if let Some(s) = open {
+            ref_missing.push((s, SPACE));
+        }
+        assert_eq!(first.0, ref_resident, "seed {seed:#x}: resident");
         assert_eq!(first.1, ref_missing, "seed {seed:#x}: missing ranges");
     }
 }
@@ -140,7 +152,7 @@ fn mixed_ops_with_clears_keep_invariants_and_accounting() {
         SPACE - missing_pages,
         "resident pages must be the exact complement of missing pages"
     );
-    let stats = index.index_stats();
+    let stats = index.stats();
     assert!(stats.leaves > 0, "stress should leave a populated tree");
     assert!(stats.depth >= 2, "200k-page space should force inner nodes");
 }

@@ -29,9 +29,6 @@ fn scaled_costs(factor: f64) -> CostModel {
         page_alloc_ns: scale(base.page_alloc_ns),
         predictor_step_ns: scale(base.predictor_step_ns),
         range_tree_op_ns: scale(base.range_tree_op_ns),
-        range_index_descent_ns: scale(base.range_index_descent_ns),
-        range_index_split_ns: scale(base.range_index_split_ns),
-        range_index_merge_ns: scale(base.range_index_merge_ns),
         range_index_retry_ns: scale(base.range_index_retry_ns),
         fault_ns: scale(base.fault_ns),
         mmap_minor_ns: scale(base.mmap_minor_ns),
