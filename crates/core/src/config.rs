@@ -166,15 +166,6 @@ pub struct RuntimeConfig {
     /// Shard count never affects simulated timing or telemetry counters —
     /// only real-lock contention between host threads.
     pub registry_shards: usize,
-    /// Coalesce adjacent planned prefetch ranges into one submission per
-    /// worker wakeup: missing runs separated by at most one OS readahead
-    /// window are merged before dispatch, trading a few duplicate-checked
-    /// pages for fewer syscalls on the `2^n`-window growth path. Only the
-    /// cache-visibility (`readahead_info`) path may coalesce — the OS
-    /// dedups already-cached gap pages there. Default off: merging
-    /// changes the syscall count and therefore the virtual timeline, so
-    /// it is an opt-in optimisation, not a behaviour-preserving default.
-    pub coalesce_prefetch: bool,
     /// Completion-driven I/O ring for demand reads. Fully-cached reads
     /// are absorbed through the exported bitmap without a syscall
     /// crossing; demand misses cross through the ordinary `read(2)`
@@ -245,7 +236,6 @@ impl RuntimeConfig {
             prefetch_retry_attempts: 4,
             prefetch_retry_backoff_ns: 100 * simclock::NS_PER_US,
             registry_shards: 0,
-            coalesce_prefetch: false,
             ring_submit: false,
             ring_spec_confidence: 0.9,
             span_exemplars: 8,

@@ -13,7 +13,7 @@ use simos::{
     ReadOutcome, PAGE_SIZE,
 };
 
-use crate::config::{Features, Mode, RuntimeConfig};
+use crate::config::{Mode, RuntimeConfig};
 use crate::metrics::RuntimeMetrics;
 use crate::policy::{OpenAction, Policy};
 use crate::range_index::{BPlusRangeIndex, IndexStats, LockScope};
@@ -222,11 +222,6 @@ impl Runtime {
     /// The configuration in effect.
     pub fn config(&self) -> &RuntimeConfig {
         &self.inner.config
-    }
-
-    /// The effective feature set.
-    pub fn features(&self) -> Features {
-        self.inner.policy.features
     }
 
     /// The mechanism-dispatch table in effect.
@@ -645,7 +640,7 @@ impl Runtime {
         let missing = if inner.policy.features.visibility && !force_blind {
             self.resync_if_stale(clock, file);
             let runs = file.tree.missing_in(clock, costs, self.scope(), from, end);
-            if inner.config.coalesce_prefetch || force_coalesce {
+            if force_coalesce {
                 self.coalesce_runs(runs)
             } else {
                 runs
@@ -739,11 +734,10 @@ impl Runtime {
     }
 
     /// Merges adjacent missing runs separated by at most one OS readahead
-    /// window into a single `readahead_info` run (opt-in via
-    /// [`RuntimeConfig::coalesce_prefetch`], or forced by the tenant
-    /// arbiter's coalesced-only rung). The merged span covers the
-    /// gap pages too — safe only on the cache-visibility path, where the
-    /// OS dedups already-cached pages inside the span.
+    /// window into a single `readahead_info` run (the tenant arbiter's
+    /// coalesced-only rung). The merged span covers the gap pages too —
+    /// safe only on the cache-visibility path, where the OS dedups
+    /// already-cached pages inside the span.
     fn coalesce_runs(&self, runs: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
         let gap = self.inner.os.config().ra_max_pages;
         let mut out: Vec<(u64, u64)> = Vec::with_capacity(runs.len());

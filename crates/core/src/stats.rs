@@ -39,9 +39,9 @@ pub struct LibStats {
     /// generation moved past the one the view was synced with (OS-side
     /// reclaim, fadvise or drop_caches behind CROSS-LIB's back).
     pub stale_resyncs: Counter,
-    /// Adjacent planned prefetch runs merged into an earlier submission
-    /// ([`crate::RuntimeConfig::coalesce_prefetch`]); each merge is one
-    /// saved syscall-bearing submission.
+    /// Adjacent planned prefetch runs merged into an earlier submission by
+    /// the tenant arbiter's coalesced-only rung (the only source); each
+    /// merge is one saved syscall-bearing submission.
     pub prefetch_runs_coalesced: Counter,
     /// Speculative next-read pre-issues the ring dispatched (Foreactor
     /// style: the predictor's next demand read, issued before the

@@ -3,12 +3,17 @@
 //! CROSS-LIB's value proposition is *visibility*: the OS exports cache
 //! state and counters, the runtime adds its own, and operators can see
 //! exactly what prefetching did. [`RuntimeReport`] snapshots both layers
-//! into one structure with a human-readable rendering, a hand-rolled
-//! machine-readable [`RuntimeReport::to_json`] export (the build is
-//! dependency-free, so no serde), and interval accounting via
-//! [`RuntimeReport::delta`].
+//! with a human-readable rendering, a dependency-free JSON export
+//! ([`RuntimeReport::to_json`]) and interval accounting
+//! ([`RuntimeReport::delta`]).
+//!
+//! Each field is declared once, in the `report_fields!` table: doc, name,
+//! type, JSON section path and key, and kind (`delta` subtracts a
+//! `counter`, saturating, and keeps a `gauge`'s later value). The table
+//! generates the struct, `delta` and `to_json` in table (= JSON) order;
+//! `collect` and `Display` stay hand-written, as every source differs.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use simclock::HistogramSnapshot;
 use simos::{PrefetchQuality, RegistryStats};
@@ -24,225 +29,440 @@ use crate::Runtime;
 /// Version 3 removed the `range_index` section's `kind`.
 pub const TELEMETRY_SCHEMA_VERSION: u32 = 3;
 
-/// A point-in-time snapshot of the cross-layered telemetry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RuntimeReport {
+/// Generates [`RuntimeReport`], [`RuntimeReport::delta`] and
+/// [`RuntimeReport::to_json`] from one table. Each entry reads
+/// `field: Type, kind, [section path] "json key";` under the field's doc.
+macro_rules! report_fields {
+    ($(
+        $(#[$doc:meta])*
+        $field:ident: $ty:ty, $kind:ident, [$($section:literal),*] $key:literal;
+    )*) => {
+        /// A point-in-time snapshot of the cross-layered telemetry.
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct RuntimeReport {
+            $($(#[$doc])* pub $field: $ty,)*
+        }
+
+        impl RuntimeReport {
+            /// Interval accounting: every counter is `self` minus `earlier`,
+            /// saturating at zero (list rows are matched by name; a row new
+            /// in `self` is kept whole). Gauges (`mode`, `hit_ratio`,
+            /// `resident_pages`, the `enabled` flags, ...) are taken from
+            /// `self` unchanged.
+            pub fn delta(&self, earlier: &RuntimeReport) -> RuntimeReport {
+                RuntimeReport {
+                    $($field: report_fields!(@delta $kind, self.$field, earlier.$field),)*
+                }
+            }
+
+            /// Machine-readable export (schema [`TELEMETRY_SCHEMA_VERSION`]).
+            ///
+            /// Hand-rolled rather than serde-derived: the reproduction builds
+            /// with zero external dependencies. Histograms are exported as
+            /// `{count, sum, p50, p95, p99}` summary objects.
+            pub fn to_json(&self) -> String {
+                let (mut out, mut open) = (String::from("{"), &[] as &[&str]);
+                let version = u64::from(TELEMETRY_SCHEMA_VERSION);
+                write_field(&mut out, &mut open, &[], "schema_version", &version);
+                $(write_field(&mut out, &mut open, &[$($section),*], $key, &self.$field);)*
+                out.push_str(&"}".repeat(open.len() + 1));
+                out
+            }
+        }
+    };
+    (@delta counter, $now:expr, $earlier:expr) => { Delta::since(&$now, &$earlier) };
+    (@delta gauge, $now:expr, $earlier:expr) => { $now.clone() };
+}
+
+report_fields! {
     /// Mechanism label (Table 2 name).
-    pub mode: &'static str,
+    mode: &'static str, gauge, [] "mode";
     /// Reads intercepted by the shim.
-    pub reads: u64,
+    reads: u64, counter, ["counters"] "reads";
     /// Writes intercepted by the shim.
-    pub writes: u64,
-    /// Page-cache hit ratio over the OS lifetime.
-    pub hit_ratio: f64,
+    writes: u64, counter, ["counters"] "writes";
     /// `readahead_info` calls issued.
-    pub ra_info_calls: u64,
+    ra_info_calls: u64, counter, ["counters"] "ra_info_calls";
     /// Prefetch requests skipped thanks to cache visibility.
-    pub prefetches_skipped: u64,
+    prefetches_skipped: u64, counter, ["counters"] "prefetches_skipped";
     /// Pages the OS initiated on behalf of the runtime.
-    pub pages_initiated: u64,
+    pages_initiated: u64, counter, ["counters"] "pages_initiated";
     /// Pages evicted by the runtime's memory watcher.
-    pub pages_evicted_by_lib: u64,
+    pages_evicted_by_lib: u64, counter, ["counters"] "pages_evicted_by_lib";
     /// Pages evicted by the OS LRU.
-    pub pages_evicted_by_os: u64,
-    /// Device bytes read and written.
-    pub device_read_bytes: u64,
+    pages_evicted_by_os: u64, counter, ["counters"] "pages_evicted_by_os";
+    /// Device bytes read.
+    device_read_bytes: u64, counter, ["counters"] "device_read_bytes";
     /// Device bytes written.
-    pub device_write_bytes: u64,
-    /// Resident / budget pages.
-    pub resident_pages: u64,
+    device_write_bytes: u64, counter, ["counters"] "device_write_bytes";
+    /// Resident pages.
+    resident_pages: u64, gauge, ["counters"] "resident_pages";
     /// Memory budget in pages.
-    pub budget_pages: u64,
+    budget_pages: u64, gauge, ["counters"] "budget_pages";
     /// Aggregate OS lock wait (tree + bitmap + mmap), nanoseconds.
-    pub os_lock_wait_ns: u64,
+    os_lock_wait_ns: u64, counter, ["counters"] "os_lock_wait_ns";
     /// Aggregate user-level range-tree lock wait, nanoseconds.
-    pub lib_lock_wait_ns: u64,
-    /// Prefetch-quality tallies (timely / late / wasted pages).
-    pub prefetch_quality: PrefetchQuality,
-    /// Worker prefetch attempts retried after a transient device error.
-    pub prefetch_retries: u64,
-    /// Prefetch requests abandoned after exhausting the retry budget.
-    pub prefetch_give_ups: u64,
-    /// Pages abandoned prefetches left to demand fetching.
-    pub pages_abandoned: u64,
-    /// Demand-read errors surfaced to the workload through the shim.
-    pub read_errors: u64,
-    /// Stale-view resyncs (range tree dropped because the OS cache
-    /// generation moved: pages were reclaimed or dropped behind it).
-    pub stale_resyncs: u64,
-    /// `readahead_info` attempts rejected by a stock kernel.
-    pub ra_info_unsupported: u64,
-    /// Whether the runtime permanently downgraded visibility prefetch to
-    /// blind `readahead(2)`.
-    pub degraded_to_blind: bool,
-    /// Transient EIOs the device's fault plan injected into reads.
-    pub device_read_faults: u64,
-    /// Device reads that landed inside an injected latency-spike window.
-    pub device_latency_spikes: u64,
+    lib_lock_wait_ns: u64, counter, ["counters"] "lib_lock_wait_ns";
     /// Trace events dropped by the bounded ring (0 when tracing is off).
-    pub trace_events_dropped: u64,
+    trace_events_dropped: u64, counter, ["counters"] "trace_events_dropped";
+    /// Worker prefetch attempts retried after a transient device error.
+    prefetch_retries: u64, counter, ["counters"] "prefetch_retries";
+    /// Prefetch requests abandoned after exhausting the retry budget.
+    prefetch_give_ups: u64, counter, ["counters"] "prefetch_give_ups";
+    /// Pages abandoned prefetches left to demand fetching.
+    pages_abandoned: u64, counter, ["counters"] "pages_abandoned";
+    /// Demand-read errors surfaced to the workload through the shim.
+    read_errors: u64, counter, ["counters"] "read_errors";
+    /// Range-tree resyncs after the OS cache generation moved behind it.
+    stale_resyncs: u64, counter, ["counters"] "stale_resyncs";
+    /// `readahead_info` attempts rejected by a stock kernel.
+    ra_info_unsupported: u64, counter, ["counters"] "ra_info_unsupported";
+    /// Transient EIOs the device's fault plan injected into reads.
+    device_read_faults: u64, counter, ["counters"] "device_read_faults";
+    /// Device reads that landed inside an injected latency-spike window.
+    device_latency_spikes: u64, counter, ["counters"] "device_latency_spikes";
+    /// Whether visibility prefetch was permanently downgraded to blind `readahead(2)`.
+    degraded_to_blind: bool, gauge, ["counters"] "degraded_to_blind";
+    /// Page-cache hit ratio over the OS lifetime.
+    hit_ratio: f64, gauge, ["counters"] "hit_ratio";
+    /// Prefetch-quality tallies (timely / late / wasted pages).
+    prefetch_quality: PrefetchQuality, counter, [] "prefetch_quality";
     /// Read latency, reads served entirely from ready cache.
-    pub read_cache_hit: HistogramSnapshot,
+    read_cache_hit: HistogramSnapshot, counter, ["histograms"] "read_cache_hit_ns";
     /// Read latency, reads served by prefetched pages.
-    pub read_prefetch_hit: HistogramSnapshot,
+    read_prefetch_hit: HistogramSnapshot, counter, ["histograms"] "read_prefetch_hit_ns";
     /// Read latency, reads that waited on synchronous device I/O.
-    pub read_demand_miss: HistogramSnapshot,
+    read_demand_miss: HistogramSnapshot, counter, ["histograms"] "read_demand_miss_ns";
     /// Write latency.
-    pub write_latency: HistogramSnapshot,
+    write_latency: HistogramSnapshot, counter, ["histograms"] "write_ns";
     /// Prefetch enqueue-to-completion latency.
-    pub prefetch_latency: HistogramSnapshot,
+    prefetch_latency: HistogramSnapshot, counter, ["histograms"] "prefetch_ns";
     /// Worker-queue wait of prefetch jobs.
-    pub worker_queue: HistogramSnapshot,
+    worker_queue: HistogramSnapshot, counter, ["histograms"] "worker_queue_ns";
     /// Per-read OS cache-tree lock wait distribution.
-    pub os_lock_wait: HistogramSnapshot,
+    os_lock_wait: HistogramSnapshot, counter, ["histograms"] "os_lock_wait_ns";
     /// Per-acquisition user-level range-tree lock wait distribution.
-    pub lib_lock_wait: HistogramSnapshot,
+    lib_lock_wait: HistogramSnapshot, counter, ["histograms"] "lib_lock_wait_ns";
     /// Runtime eviction scan time.
-    pub evict_scan: HistogramSnapshot,
+    evict_scan: HistogramSnapshot, counter, ["histograms"] "evict_scan_ns";
     /// OS reclaim pass scan time.
-    pub os_reclaim_scan: HistogramSnapshot,
-    /// Adjacent prefetch runs merged by opt-in submission coalescing.
-    pub prefetch_runs_coalesced: u64,
-    /// Stable name of the prediction engine new descriptors use
-    /// ([`predict::EngineKind::name`], policy-resolved).
-    pub engine: &'static str,
+    os_reclaim_scan: HistogramSnapshot, counter, ["histograms"] "os_reclaim_scan_ns";
+    /// Per-stage read-pipeline cost as `(stage, distribution)`, [`PipelineStage::all`] order.
+    stage_latency: Vec<(&'static str, HistogramSnapshot)>, counter, [] "stages";
+    /// Adjacent prefetch runs merged by the tenant arbiter's coalesced-only rung.
+    prefetch_runs_coalesced: u64, counter, [] "prefetch_runs_coalesced";
+    /// Prediction engine new descriptors use ([`predict::EngineKind::name`], resolved).
+    engine: &'static str, gauge, ["engines"] "selected";
     /// Correlation-mined prefetch runs the engine issued.
-    pub engine_assoc_runs: u64,
+    engine_assoc_runs: u64, counter, ["engines"] "assoc_runs";
     /// Pages those association runs scheduled.
-    pub engine_assoc_pages: u64,
+    engine_assoc_pages: u64, counter, ["engines"] "assoc_pages";
     /// Deferred mining passes dispatched to the worker pool.
-    pub engine_mining_passes: u64,
+    engine_mining_passes: u64, counter, ["engines"] "mining_passes";
     /// Adaptive duel windows closed.
-    pub engine_duels: u64,
+    engine_duels: u64, counter, ["engines"] "duels";
     /// Adaptive ownership changes.
-    pub engine_ownership_flips: u64,
-    /// Whether the completion-driven ring was enabled (policy-resolved:
-    /// the config knob ANDed with cache visibility).
-    pub ring_enabled: bool,
-    /// Demand reads the ring absorbed without a syscall crossing.
-    pub ring_absorbed_reads: u64,
-    /// Speculative next-read pre-issues dispatched.
-    pub ring_spec_issued: u64,
-    /// Speculative pre-issues absorbed by a matching demand read.
-    pub ring_spec_absorbed: u64,
-    /// Speculative pre-issues cancelled on mispredict.
-    pub ring_spec_cancelled: u64,
-    /// Pages cancelled speculations re-entered into the quality ledger.
-    pub ring_spec_pages_charged: u64,
-    /// Deepest per-file range index (1 = a lone leaf root).
-    pub range_index_depth: u64,
-    /// Leaves allocated across files.
-    pub range_index_leaves: u64,
-    /// Leaf splits performed.
-    pub range_index_splits: u64,
-    /// Adjacent-leaf merges performed.
-    pub range_index_merges: u64,
-    /// Optimistic read descents that failed version validation and paid
-    /// the re-descent penalty (0 single-threaded).
-    pub range_index_retries: u64,
-    /// Per-stage virtual-time cost of the staged read pipeline, in
-    /// [`PipelineStage::all`] order as `(stage name, distribution)`.
-    pub stage_latency: Vec<(&'static str, HistogramSnapshot)>,
+    engine_ownership_flips: u64, counter, ["engines"] "ownership_flips";
     /// Whether causal span tracing was enabled at snapshot time.
-    pub spans_enabled: bool,
+    spans_enabled: bool, gauge, ["spans"] "enabled";
     /// Reads that completed with a span frame.
-    pub spans_reads_traced: u64,
+    spans_reads_traced: u64, counter, ["spans"] "reads_traced";
     /// Exemplars admitted into the tail reservoirs.
-    pub spans_exemplars_admitted: u64,
+    spans_exemplars_admitted: u64, counter, ["spans"] "exemplars_admitted";
     /// Exemplars displaced from full reservoirs by slower reads.
-    pub spans_exemplars_evicted: u64,
-    /// Per-class critical-path totals as `(class name, totals)`, in
-    /// cache-hit / prefetch-hit / demand-miss order (all-zero while span
-    /// tracing is off, so the section's presence never depends on it).
-    pub spans_classes: Vec<(&'static str, SpanClassTotals)>,
-    /// Whether the multi-tenant arbiter was configured
-    /// ([`crate::RuntimeConfig::tenants`]).
-    pub tenants_enabled: bool,
+    spans_exemplars_evicted: u64, counter, ["spans"] "exemplars_evicted";
+    /// Per-class critical-path totals as `(class, totals)`, cache-hit / prefetch-hit /
+    /// demand-miss order (all-zero while span tracing is off).
+    spans_classes: Vec<(&'static str, SpanClassTotals)>, counter, ["spans"] "classes";
+    /// Whether the completion-driven ring is on (knob ANDed with cache visibility).
+    ring_enabled: bool, gauge, ["ring"] "enabled";
+    /// Demand reads the ring absorbed without a syscall crossing.
+    ring_absorbed_reads: u64, counter, ["ring"] "absorbed_reads";
+    /// Speculative next-read pre-issues dispatched.
+    ring_spec_issued: u64, counter, ["ring"] "spec_issued";
+    /// Speculative pre-issues absorbed by a matching demand read.
+    ring_spec_absorbed: u64, counter, ["ring"] "spec_absorbed";
+    /// Speculative pre-issues cancelled on mispredict.
+    ring_spec_cancelled: u64, counter, ["ring"] "spec_cancelled";
+    /// Pages cancelled speculations re-entered into the quality ledger.
+    ring_spec_pages_charged: u64, counter, ["ring"] "spec_pages_charged";
+    /// Deepest per-file range index (1 = a lone leaf root).
+    range_index_depth: u64, gauge, ["range_index"] "depth";
+    /// Leaves allocated across files.
+    range_index_leaves: u64, gauge, ["range_index"] "leaves";
+    /// Leaf splits performed.
+    range_index_splits: u64, counter, ["range_index"] "splits";
+    /// Adjacent-leaf merges performed.
+    range_index_merges: u64, counter, ["range_index"] "merges";
+    /// Optimistic descents that failed validation and re-descended (0 single-threaded).
+    range_index_retries: u64, counter, ["range_index"] "optimistic_retries";
+    /// Whether the multi-tenant arbiter was configured ([`crate::RuntimeConfig::tenants`]).
+    tenants_enabled: bool, gauge, ["tenants"] "enabled";
     /// Fair-share rebalance passes the arbiter ran.
-    pub tenant_rebalances: u64,
-    /// Per-tenant admission rows, in tenant-table order (empty without an
-    /// arbiter, so the additive section's presence never depends on the
-    /// knob).
-    pub tenants: Vec<TenantReport>,
-    /// Whether the cross-tier promotion planner was built (a tiering
-    /// config was present *and* the OS sits on a tiered store).
-    pub tiering_enabled: bool,
-    /// Whether the OS-side write-back daemon was configured
-    /// ([`simos::OsConfig::writeback`]).
-    pub writeback_enabled: bool,
+    tenant_rebalances: u64, counter, ["tenants"] "rebalances";
+    /// Per-tenant admission rows in tenant-table order (empty without an arbiter).
+    tenants: Vec<TenantReport>, counter, ["tenants"] "list";
+    /// Whether the promotion planner was built (a tiering config *and* a tiered store).
+    tiering_enabled: bool, gauge, ["tiering"] "enabled";
+    /// Whether the OS write-back daemon was configured ([`simos::OsConfig::writeback`]).
+    writeback_enabled: bool, gauge, ["tiering"] "writeback_enabled";
     /// Local-tier read requests (all tier fields are zero un-tiered).
-    pub tier_local_reads: u64,
+    tier_local_reads: u64, counter, ["tiering", "local"] "reads";
     /// Local-tier write requests.
-    pub tier_local_writes: u64,
+    tier_local_writes: u64, counter, ["tiering", "local"] "writes";
     /// Local-tier bytes read.
-    pub tier_local_read_bytes: u64,
+    tier_local_read_bytes: u64, counter, ["tiering", "local"] "read_bytes";
     /// Local-tier bytes written.
-    pub tier_local_write_bytes: u64,
-    /// Remote-tier read requests.
-    pub tier_remote_reads: u64,
-    /// Remote-tier write requests.
-    pub tier_remote_writes: u64,
-    /// Remote-tier bytes read.
-    pub tier_remote_read_bytes: u64,
-    /// Remote-tier bytes written.
-    pub tier_remote_write_bytes: u64,
+    tier_local_write_bytes: u64, counter, ["tiering", "local"] "write_bytes";
     /// Local-tier blocks resident at snapshot time.
-    pub tier_local_resident_blocks: u64,
+    tier_local_resident_blocks: u64, gauge, ["tiering", "local"] "resident_blocks";
     /// Local-tier capacity, in blocks.
-    pub tier_local_capacity_blocks: u64,
+    tier_local_capacity_blocks: u64, gauge, ["tiering", "local"] "capacity_blocks";
+    /// Remote-tier read requests.
+    tier_remote_reads: u64, counter, ["tiering", "remote"] "reads";
+    /// Remote-tier write requests.
+    tier_remote_writes: u64, counter, ["tiering", "remote"] "writes";
+    /// Remote-tier bytes read.
+    tier_remote_read_bytes: u64, counter, ["tiering", "remote"] "read_bytes";
+    /// Remote-tier bytes written.
+    tier_remote_write_bytes: u64, counter, ["tiering", "remote"] "write_bytes";
     /// Promotion jobs the planner dispatched to the worker pool.
-    pub promotions_issued: u64,
+    promotions_issued: u64, counter, ["tiering", "promotions"] "issued";
     /// Promotion jobs whose remote→local copy completed.
-    pub promotions_completed: u64,
-    /// Pages completed promotions published into the cache (billed as
-    /// prefetch-initiated).
-    pub promotion_pages: u64,
+    promotions_completed: u64, counter, ["tiering", "promotions"] "completed";
+    /// Pages completed promotions published into the cache (billed as prefetch).
+    promotion_pages: u64, counter, ["tiering", "promotions"] "pages";
     /// Promotion attempts retried after a transient remote fault.
-    pub promotion_retries: u64,
+    promotion_retries: u64, counter, ["tiering", "promotions"] "retries";
     /// Promotion jobs abandoned after exhausting the retry budget.
-    pub promotion_give_ups: u64,
+    promotion_give_ups: u64, counter, ["tiering", "promotions"] "give_ups";
     /// Blocks the store moved to the local tier by promotion.
-    pub tier_promoted_blocks: u64,
+    tier_promoted_blocks: u64, counter, ["tiering", "promotions"] "blocks";
     /// Promotion copies rejected by an injected remote fault (store-side).
-    pub tier_promotion_faults: u64,
-    /// Promoted blocks demoted or dropped without ever being read
-    /// locally — the placement analogue of wasted prefetch.
-    pub tier_promoted_wasted_blocks: u64,
+    tier_promotion_faults: u64, counter, ["tiering", "promotions"] "faults";
+    /// Promoted blocks demoted or dropped unread — placement's wasted prefetch.
+    tier_promoted_wasted_blocks: u64, counter, ["tiering", "promotions"] "wasted_blocks";
     /// Demotion passes (placement words returned to the remote tier).
-    pub tier_demotions: u64,
+    tier_demotions: u64, counter, ["tiering", "demotions"] "passes";
     /// Blocks returned to the remote tier by demotion.
-    pub tier_demoted_blocks: u64,
-    /// Demoted blocks that were locally modified and were written back to
-    /// the remote device first.
-    pub tier_demoted_dirty_blocks: u64,
-    /// Pages the write path newly dirtied (ledger: `dirtied ==
-    /// written_back + dropped + dirty_now`).
-    pub wb_dirtied_pages: u64,
+    tier_demoted_blocks: u64, counter, ["tiering", "demotions"] "blocks";
+    /// Demoted blocks that were locally modified, so written back remotely first.
+    tier_demoted_dirty_blocks: u64, counter, ["tiering", "demotions"] "dirty_blocks";
+    /// Pages newly dirtied (ledger: `dirtied == written_back + dropped + dirty_now`).
+    wb_dirtied_pages: u64, counter, ["tiering", "writeback"] "dirtied_pages";
     /// Dirty pages flushed to a device (any flush path).
-    pub wb_written_back_pages: u64,
+    wb_written_back_pages: u64, counter, ["tiering", "writeback"] "written_back_pages";
     /// Dirty pages discarded without write-back (`unlink`).
-    pub wb_dropped_dirty_pages: u64,
+    wb_dropped_dirty_pages: u64, counter, ["tiering", "writeback"] "dropped_dirty_pages";
     /// Pages dirty at snapshot time (point-in-time, not monotone).
-    pub wb_dirty_pages_now: u64,
+    wb_dirty_pages_now: u64, gauge, ["tiering", "writeback"] "dirty_pages";
     /// Flushes forced by dirty thresholds.
-    pub wb_flush_threshold: u64,
+    wb_flush_threshold: u64, counter, ["tiering", "writeback"] "flush_threshold";
     /// Flushes forced by a virtual-time dirty deadline.
-    pub wb_flush_deadline: u64,
+    wb_flush_deadline: u64, counter, ["tiering", "writeback"] "flush_deadline";
     /// Synchronous flushes (`fsync`, write-through).
-    pub wb_flush_sync: u64,
+    wb_flush_sync: u64, counter, ["tiering", "writeback"] "flush_sync";
     /// Flushes riding eviction paths (advice, cache drops, reclaim).
-    pub wb_flush_drop: u64,
+    wb_flush_drop: u64, counter, ["tiering", "writeback"] "flush_drop";
     /// Device write crossings issued by run-based flushing.
-    pub wb_runs_flushed: u64,
+    wb_runs_flushed: u64, counter, ["tiering", "writeback"] "runs_flushed";
     /// Adjacent dirty runs merged into one crossing by gap coalescing.
-    pub wb_runs_coalesced: u64,
+    wb_runs_coalesced: u64, counter, ["tiering", "writeback"] "runs_coalesced";
+    // Keep `registries` last: shard count is deployment configuration, so
+    // determinism checks across shard counts compare the prefix.
     /// Real-lock contention on the CROSS-LIB per-file registry shards
     /// (wall-clock, contended acquisitions only; zero single-threaded).
-    pub lib_registry: RegistryStats,
+    lib_registry: RegistryStats, counter, ["registries"] "lib_files";
     /// Real-lock contention on the CROSS-OS inode-cache registry shards.
-    pub os_cache_registry: RegistryStats,
+    os_cache_registry: RegistryStats, counter, ["registries"] "os_caches";
     /// Real-lock contention on the CROSS-OS descriptor-table shards.
-    pub os_fd_registry: RegistryStats,
+    os_fd_registry: RegistryStats, counter, ["registries"] "os_fds";
+}
+
+/// Interval accounting for one counter type.
+trait Delta: Clone {
+    /// `self - earlier`, saturating at zero.
+    fn since(&self, earlier: &Self) -> Self;
+
+    /// Identity of a list row; rows of two snapshots are matched by it.
+    fn key(&self) -> &str {
+        ""
+    }
+}
+
+/// Implements [`Delta`] for each `Type => |now, earlier| difference`.
+macro_rules! delta_impls {
+    ($($ty:ty => |$now:ident, $earlier:ident| $since:expr;)*) => {
+        $(impl Delta for $ty {
+            fn since(&self, earlier: &Self) -> Self {
+                let ($now, $earlier) = (self, earlier);
+                $since
+            }
+        })*
+    };
+}
+
+delta_impls! {
+    u64 => |now, earlier| now.saturating_sub(*earlier);
+    HistogramSnapshot => |now, earlier| now.delta(earlier);
+    PrefetchQuality => |now, earlier| now.delta(*earlier);
+    RegistryStats => |now, earlier| now.delta(earlier);
+    SpanClassTotals => |now, earlier| now.delta(earlier);
+}
+
+impl Delta for TenantReport {
+    fn since(&self, earlier: &Self) -> Self {
+        self.delta(earlier)
+    }
+
+    fn key(&self) -> &str {
+        &self.name
+    }
+}
+
+impl<T: Delta> Delta for (&'static str, T) {
+    fn since(&self, earlier: &Self) -> Self {
+        (self.0, self.1.since(&earlier.1))
+    }
+
+    fn key(&self) -> &str {
+        self.0
+    }
+}
+
+impl<T: Delta> Delta for Vec<T> {
+    fn since(&self, earlier: &Self) -> Self {
+        self.iter()
+            .map(|row| match earlier.iter().find(|e| e.key() == row.key()) {
+                Some(prior) => row.since(prior),
+                None => row.clone(),
+            })
+            .collect()
+    }
+}
+
+/// One value rendered as JSON.
+trait ToJson {
+    fn write_json(&self, out: &mut String);
+}
+
+/// Implements [`ToJson`] for scalars rendered through a format string.
+macro_rules! scalar_json {
+    ($($ty:ty => $fmt:literal),*) => {
+        $(impl ToJson for $ty {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, $fmt, self);
+            }
+        })*
+    };
+}
+
+scalar_json!(u64 => "{}", bool => "{}", f64 => "{:.6}");
+
+impl ToJson for &str {
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "\"{}\"", json_escape(self));
+    }
+}
+
+/// Implements [`ToJson`] for each `Type => |value| ["key": field, ...]`
+/// as one JSON object.
+macro_rules! object_json {
+    ($($ty:ty => |$v:ident| [$($key:literal: $field:expr),* $(,)?];)*) => {
+        $(impl ToJson for $ty {
+            fn write_json(&self, out: &mut String) {
+                let $v = self;
+                write_object(out, &[$(($key, &$field)),*]);
+            }
+        })*
+    };
+}
+
+object_json! {
+    HistogramSnapshot => |h| [
+        "count": h.count, "sum": h.sum, "p50": h.p50(), "p95": h.p95(), "p99": h.p99(),
+    ];
+    PrefetchQuality => |q| ["timely": q.timely, "late": q.late, "wasted": q.wasted];
+    RegistryStats => |r| [
+        "shards": r.shards() as u64, "lock_wait_ns": r.total_wait_ns(),
+        "contended": r.total_contended(), "per_shard_wait_ns": r.per_shard_wait_ns,
+    ];
+    SpanClassTotals => |t| [
+        "reads": t.reads, "stage_compute_ns": t.path.stage_compute_ns,
+        "lock_wait_ns": t.path.lock_wait_ns, "queue_wait_ns": t.path.queue_wait_ns,
+        "device_service_ns": t.path.device_service_ns,
+        "retry_backoff_ns": t.path.retry_backoff_ns,
+    ];
+    TenantReport => |t| [
+        "name": t.name.as_str(), "qos": t.qos, "weight": t.weight,
+        "budget_pages": t.budget_pages, "window_used_pages": t.window_used_pages,
+        "initiated_pages": t.initiated_pages, "admitted_pages": t.admitted_pages,
+        "degraded_coalesced": t.degraded_coalesced, "degraded_blind": t.degraded_blind,
+        "denied": t.denied, "denied_pages": t.denied_pages,
+    ];
+}
+
+/// A JSON array.
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+/// A named list renders as an object keyed by the names, in list order.
+impl<T: ToJson> ToJson for Vec<(&'static str, T)> {
+    fn write_json(&self, out: &mut String) {
+        let fields: Vec<(&str, &dyn ToJson)> = self
+            .iter()
+            .map(|(name, value)| (*name, value as &dyn ToJson))
+            .collect();
+        write_object(out, &fields);
+    }
+}
+
+/// Writes `{"key":value,...}`.
+fn write_object(out: &mut String, fields: &[(&str, &dyn ToJson)]) {
+    out.push('{');
+    for (key, value) in fields {
+        push_key(out, key);
+        value.write_json(out);
+    }
+    out.push('}');
+}
+
+/// Writes `"key":`, preceded by a comma unless it opens its object.
+fn push_key(out: &mut String, key: &str) {
+    if !out.ends_with('{') {
+        out.push(',');
+    }
+    let _ = write!(out, "\"{key}\":");
+}
+
+/// Writes one report field, first closing and opening nested section
+/// objects so that `open` (the sections currently open) becomes `path`.
+fn write_field(
+    out: &mut String,
+    open: &mut &'static [&'static str],
+    path: &'static [&'static str],
+    key: &str,
+    value: &dyn ToJson,
+) {
+    let shared = open.iter().zip(path).take_while(|(a, b)| a == b).count();
+    out.push_str(&"}".repeat(open.len() - shared));
+    for section in &path[shared..] {
+        push_key(out, section);
+        out.push('{');
+    }
+    *open = path;
+    push_key(out, key);
+    value.write_json(out);
 }
 
 impl RuntimeReport {
@@ -384,526 +604,6 @@ impl RuntimeReport {
         (self.pages_initiated as f64 / device_pages as f64).min(1.0)
     }
 
-    /// Interval accounting: everything monotonic in `self` minus
-    /// `earlier`, saturating at zero. Point-in-time fields (`mode`,
-    /// `hit_ratio`, `resident_pages`, `budget_pages`) are taken from
-    /// `self` unchanged.
-    pub fn delta(&self, earlier: &RuntimeReport) -> RuntimeReport {
-        RuntimeReport {
-            mode: self.mode,
-            reads: self.reads.saturating_sub(earlier.reads),
-            writes: self.writes.saturating_sub(earlier.writes),
-            hit_ratio: self.hit_ratio,
-            ra_info_calls: self.ra_info_calls.saturating_sub(earlier.ra_info_calls),
-            prefetches_skipped: self
-                .prefetches_skipped
-                .saturating_sub(earlier.prefetches_skipped),
-            pages_initiated: self.pages_initiated.saturating_sub(earlier.pages_initiated),
-            pages_evicted_by_lib: self
-                .pages_evicted_by_lib
-                .saturating_sub(earlier.pages_evicted_by_lib),
-            pages_evicted_by_os: self
-                .pages_evicted_by_os
-                .saturating_sub(earlier.pages_evicted_by_os),
-            device_read_bytes: self
-                .device_read_bytes
-                .saturating_sub(earlier.device_read_bytes),
-            device_write_bytes: self
-                .device_write_bytes
-                .saturating_sub(earlier.device_write_bytes),
-            resident_pages: self.resident_pages,
-            budget_pages: self.budget_pages,
-            os_lock_wait_ns: self.os_lock_wait_ns.saturating_sub(earlier.os_lock_wait_ns),
-            lib_lock_wait_ns: self
-                .lib_lock_wait_ns
-                .saturating_sub(earlier.lib_lock_wait_ns),
-            prefetch_quality: self.prefetch_quality.delta(earlier.prefetch_quality),
-            prefetch_retries: self
-                .prefetch_retries
-                .saturating_sub(earlier.prefetch_retries),
-            prefetch_give_ups: self
-                .prefetch_give_ups
-                .saturating_sub(earlier.prefetch_give_ups),
-            pages_abandoned: self.pages_abandoned.saturating_sub(earlier.pages_abandoned),
-            read_errors: self.read_errors.saturating_sub(earlier.read_errors),
-            stale_resyncs: self.stale_resyncs.saturating_sub(earlier.stale_resyncs),
-            ra_info_unsupported: self
-                .ra_info_unsupported
-                .saturating_sub(earlier.ra_info_unsupported),
-            degraded_to_blind: self.degraded_to_blind,
-            device_read_faults: self
-                .device_read_faults
-                .saturating_sub(earlier.device_read_faults),
-            device_latency_spikes: self
-                .device_latency_spikes
-                .saturating_sub(earlier.device_latency_spikes),
-            trace_events_dropped: self
-                .trace_events_dropped
-                .saturating_sub(earlier.trace_events_dropped),
-            read_cache_hit: self.read_cache_hit.delta(&earlier.read_cache_hit),
-            read_prefetch_hit: self.read_prefetch_hit.delta(&earlier.read_prefetch_hit),
-            read_demand_miss: self.read_demand_miss.delta(&earlier.read_demand_miss),
-            write_latency: self.write_latency.delta(&earlier.write_latency),
-            prefetch_latency: self.prefetch_latency.delta(&earlier.prefetch_latency),
-            worker_queue: self.worker_queue.delta(&earlier.worker_queue),
-            os_lock_wait: self.os_lock_wait.delta(&earlier.os_lock_wait),
-            lib_lock_wait: self.lib_lock_wait.delta(&earlier.lib_lock_wait),
-            evict_scan: self.evict_scan.delta(&earlier.evict_scan),
-            os_reclaim_scan: self.os_reclaim_scan.delta(&earlier.os_reclaim_scan),
-            prefetch_runs_coalesced: self
-                .prefetch_runs_coalesced
-                .saturating_sub(earlier.prefetch_runs_coalesced),
-            engine: self.engine,
-            engine_assoc_runs: self
-                .engine_assoc_runs
-                .saturating_sub(earlier.engine_assoc_runs),
-            engine_assoc_pages: self
-                .engine_assoc_pages
-                .saturating_sub(earlier.engine_assoc_pages),
-            engine_mining_passes: self
-                .engine_mining_passes
-                .saturating_sub(earlier.engine_mining_passes),
-            engine_duels: self.engine_duels.saturating_sub(earlier.engine_duels),
-            engine_ownership_flips: self
-                .engine_ownership_flips
-                .saturating_sub(earlier.engine_ownership_flips),
-            ring_enabled: self.ring_enabled,
-            ring_absorbed_reads: self
-                .ring_absorbed_reads
-                .saturating_sub(earlier.ring_absorbed_reads),
-            ring_spec_issued: self
-                .ring_spec_issued
-                .saturating_sub(earlier.ring_spec_issued),
-            ring_spec_absorbed: self
-                .ring_spec_absorbed
-                .saturating_sub(earlier.ring_spec_absorbed),
-            ring_spec_cancelled: self
-                .ring_spec_cancelled
-                .saturating_sub(earlier.ring_spec_cancelled),
-            ring_spec_pages_charged: self
-                .ring_spec_pages_charged
-                .saturating_sub(earlier.ring_spec_pages_charged),
-            range_index_depth: self.range_index_depth,
-            range_index_leaves: self.range_index_leaves,
-            range_index_splits: self
-                .range_index_splits
-                .saturating_sub(earlier.range_index_splits),
-            range_index_merges: self
-                .range_index_merges
-                .saturating_sub(earlier.range_index_merges),
-            range_index_retries: self
-                .range_index_retries
-                .saturating_sub(earlier.range_index_retries),
-            stage_latency: self
-                .stage_latency
-                .iter()
-                .map(|(name, snap)| {
-                    let prior = earlier
-                        .stage_latency
-                        .iter()
-                        .find(|(n, _)| n == name)
-                        .map(|(_, s)| s);
-                    match prior {
-                        Some(s) => (*name, snap.delta(s)),
-                        None => (*name, snap.clone()),
-                    }
-                })
-                .collect(),
-            spans_enabled: self.spans_enabled,
-            spans_reads_traced: self
-                .spans_reads_traced
-                .saturating_sub(earlier.spans_reads_traced),
-            spans_exemplars_admitted: self
-                .spans_exemplars_admitted
-                .saturating_sub(earlier.spans_exemplars_admitted),
-            spans_exemplars_evicted: self
-                .spans_exemplars_evicted
-                .saturating_sub(earlier.spans_exemplars_evicted),
-            spans_classes: self
-                .spans_classes
-                .iter()
-                .map(|(name, totals)| {
-                    let prior = earlier
-                        .spans_classes
-                        .iter()
-                        .find(|(n, _)| n == name)
-                        .map(|(_, t)| t);
-                    match prior {
-                        Some(t) => (*name, totals.delta(t)),
-                        None => (*name, *totals),
-                    }
-                })
-                .collect(),
-            tenants_enabled: self.tenants_enabled,
-            tenant_rebalances: self
-                .tenant_rebalances
-                .saturating_sub(earlier.tenant_rebalances),
-            tenants: self
-                .tenants
-                .iter()
-                .map(|row| {
-                    let prior = earlier.tenants.iter().find(|r| r.name == row.name);
-                    match prior {
-                        Some(r) => row.delta(r),
-                        None => row.clone(),
-                    }
-                })
-                .collect(),
-            tiering_enabled: self.tiering_enabled,
-            writeback_enabled: self.writeback_enabled,
-            tier_local_reads: self
-                .tier_local_reads
-                .saturating_sub(earlier.tier_local_reads),
-            tier_local_writes: self
-                .tier_local_writes
-                .saturating_sub(earlier.tier_local_writes),
-            tier_local_read_bytes: self
-                .tier_local_read_bytes
-                .saturating_sub(earlier.tier_local_read_bytes),
-            tier_local_write_bytes: self
-                .tier_local_write_bytes
-                .saturating_sub(earlier.tier_local_write_bytes),
-            tier_remote_reads: self
-                .tier_remote_reads
-                .saturating_sub(earlier.tier_remote_reads),
-            tier_remote_writes: self
-                .tier_remote_writes
-                .saturating_sub(earlier.tier_remote_writes),
-            tier_remote_read_bytes: self
-                .tier_remote_read_bytes
-                .saturating_sub(earlier.tier_remote_read_bytes),
-            tier_remote_write_bytes: self
-                .tier_remote_write_bytes
-                .saturating_sub(earlier.tier_remote_write_bytes),
-            tier_local_resident_blocks: self.tier_local_resident_blocks,
-            tier_local_capacity_blocks: self.tier_local_capacity_blocks,
-            promotions_issued: self
-                .promotions_issued
-                .saturating_sub(earlier.promotions_issued),
-            promotions_completed: self
-                .promotions_completed
-                .saturating_sub(earlier.promotions_completed),
-            promotion_pages: self.promotion_pages.saturating_sub(earlier.promotion_pages),
-            promotion_retries: self
-                .promotion_retries
-                .saturating_sub(earlier.promotion_retries),
-            promotion_give_ups: self
-                .promotion_give_ups
-                .saturating_sub(earlier.promotion_give_ups),
-            tier_promoted_blocks: self
-                .tier_promoted_blocks
-                .saturating_sub(earlier.tier_promoted_blocks),
-            tier_promotion_faults: self
-                .tier_promotion_faults
-                .saturating_sub(earlier.tier_promotion_faults),
-            tier_promoted_wasted_blocks: self
-                .tier_promoted_wasted_blocks
-                .saturating_sub(earlier.tier_promoted_wasted_blocks),
-            tier_demotions: self.tier_demotions.saturating_sub(earlier.tier_demotions),
-            tier_demoted_blocks: self
-                .tier_demoted_blocks
-                .saturating_sub(earlier.tier_demoted_blocks),
-            tier_demoted_dirty_blocks: self
-                .tier_demoted_dirty_blocks
-                .saturating_sub(earlier.tier_demoted_dirty_blocks),
-            wb_dirtied_pages: self
-                .wb_dirtied_pages
-                .saturating_sub(earlier.wb_dirtied_pages),
-            wb_written_back_pages: self
-                .wb_written_back_pages
-                .saturating_sub(earlier.wb_written_back_pages),
-            wb_dropped_dirty_pages: self
-                .wb_dropped_dirty_pages
-                .saturating_sub(earlier.wb_dropped_dirty_pages),
-            wb_dirty_pages_now: self.wb_dirty_pages_now,
-            wb_flush_threshold: self
-                .wb_flush_threshold
-                .saturating_sub(earlier.wb_flush_threshold),
-            wb_flush_deadline: self
-                .wb_flush_deadline
-                .saturating_sub(earlier.wb_flush_deadline),
-            wb_flush_sync: self.wb_flush_sync.saturating_sub(earlier.wb_flush_sync),
-            wb_flush_drop: self.wb_flush_drop.saturating_sub(earlier.wb_flush_drop),
-            wb_runs_flushed: self.wb_runs_flushed.saturating_sub(earlier.wb_runs_flushed),
-            wb_runs_coalesced: self
-                .wb_runs_coalesced
-                .saturating_sub(earlier.wb_runs_coalesced),
-            lib_registry: self.lib_registry.delta(&earlier.lib_registry),
-            os_cache_registry: self.os_cache_registry.delta(&earlier.os_cache_registry),
-            os_fd_registry: self.os_fd_registry.delta(&earlier.os_fd_registry),
-        }
-    }
-
-    /// Machine-readable export (schema [`TELEMETRY_SCHEMA_VERSION`]).
-    ///
-    /// Hand-rolled rather than serde-derived: the reproduction builds with
-    /// zero external dependencies. Histograms are exported as
-    /// `{count, sum, p50, p95, p99}` summary objects.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push('{');
-        push_field(&mut out, "schema_version", TELEMETRY_SCHEMA_VERSION.into());
-        out.push_str(&format!("\"mode\":\"{}\",", json_escape(self.mode)));
-        out.push_str("\"counters\":{");
-        push_field(&mut out, "reads", self.reads);
-        push_field(&mut out, "writes", self.writes);
-        push_field(&mut out, "ra_info_calls", self.ra_info_calls);
-        push_field(&mut out, "prefetches_skipped", self.prefetches_skipped);
-        push_field(&mut out, "pages_initiated", self.pages_initiated);
-        push_field(&mut out, "pages_evicted_by_lib", self.pages_evicted_by_lib);
-        push_field(&mut out, "pages_evicted_by_os", self.pages_evicted_by_os);
-        push_field(&mut out, "device_read_bytes", self.device_read_bytes);
-        push_field(&mut out, "device_write_bytes", self.device_write_bytes);
-        push_field(&mut out, "resident_pages", self.resident_pages);
-        push_field(&mut out, "budget_pages", self.budget_pages);
-        push_field(&mut out, "os_lock_wait_ns", self.os_lock_wait_ns);
-        push_field(&mut out, "lib_lock_wait_ns", self.lib_lock_wait_ns);
-        push_field(&mut out, "trace_events_dropped", self.trace_events_dropped);
-        push_field(&mut out, "prefetch_retries", self.prefetch_retries);
-        push_field(&mut out, "prefetch_give_ups", self.prefetch_give_ups);
-        push_field(&mut out, "pages_abandoned", self.pages_abandoned);
-        push_field(&mut out, "read_errors", self.read_errors);
-        push_field(&mut out, "stale_resyncs", self.stale_resyncs);
-        push_field(&mut out, "ra_info_unsupported", self.ra_info_unsupported);
-        push_field(&mut out, "device_read_faults", self.device_read_faults);
-        push_field(
-            &mut out,
-            "device_latency_spikes",
-            self.device_latency_spikes,
-        );
-        out.push_str(&format!(
-            "\"degraded_to_blind\":{},",
-            self.degraded_to_blind
-        ));
-        out.push_str(&format!("\"hit_ratio\":{:.6}", self.hit_ratio));
-        out.push_str("},");
-        out.push_str("\"prefetch_quality\":{");
-        push_field(&mut out, "timely", self.prefetch_quality.timely);
-        push_field(&mut out, "late", self.prefetch_quality.late);
-        out.push_str(&format!("\"wasted\":{}", self.prefetch_quality.wasted));
-        out.push_str("},");
-        out.push_str("\"histograms\":{");
-        let hists: [(&str, &HistogramSnapshot); 10] = [
-            ("read_cache_hit_ns", &self.read_cache_hit),
-            ("read_prefetch_hit_ns", &self.read_prefetch_hit),
-            ("read_demand_miss_ns", &self.read_demand_miss),
-            ("write_ns", &self.write_latency),
-            ("prefetch_ns", &self.prefetch_latency),
-            ("worker_queue_ns", &self.worker_queue),
-            ("os_lock_wait_ns", &self.os_lock_wait),
-            ("lib_lock_wait_ns", &self.lib_lock_wait),
-            ("evict_scan_ns", &self.evict_scan),
-            ("os_reclaim_scan_ns", &self.os_reclaim_scan),
-        ];
-        for (i, (name, snap)) in hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_hist(name, snap));
-        }
-        out.push_str("},");
-        // Additive schema-v1 extensions: every pre-existing key above
-        // renders byte-identically; new sections only append.
-        out.push_str("\"stages\":{");
-        for (i, (name, snap)) in self.stage_latency.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_hist(name, snap));
-        }
-        out.push_str("},");
-        push_field(
-            &mut out,
-            "prefetch_runs_coalesced",
-            self.prefetch_runs_coalesced,
-        );
-        // Prediction-engine accounting (all-zero under the strided
-        // default, so the section's presence never depends on the knob).
-        out.push_str("\"engines\":{");
-        out.push_str(&format!("\"selected\":\"{}\",", json_escape(self.engine)));
-        push_field(&mut out, "assoc_runs", self.engine_assoc_runs);
-        push_field(&mut out, "assoc_pages", self.engine_assoc_pages);
-        push_field(&mut out, "mining_passes", self.engine_mining_passes);
-        push_field(&mut out, "duels", self.engine_duels);
-        out.push_str(&format!(
-            "\"ownership_flips\":{}",
-            self.engine_ownership_flips
-        ));
-        out.push_str("},");
-        // Causal span tracing (all-zero while disabled — the additive
-        // section is always present, its content never perturbs the
-        // pre-span byte layout of the sections above).
-        out.push_str("\"spans\":{");
-        out.push_str(&format!("\"enabled\":{},", self.spans_enabled));
-        push_field(&mut out, "reads_traced", self.spans_reads_traced);
-        push_field(
-            &mut out,
-            "exemplars_admitted",
-            self.spans_exemplars_admitted,
-        );
-        push_field(&mut out, "exemplars_evicted", self.spans_exemplars_evicted);
-        out.push_str("\"classes\":{");
-        for (i, (name, totals)) in self.spans_classes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"reads\":{},\"stage_compute_ns\":{},\"lock_wait_ns\":{},\"queue_wait_ns\":{},\"device_service_ns\":{},\"retry_backoff_ns\":{}}}",
-                name,
-                totals.reads,
-                totals.path.stage_compute_ns,
-                totals.path.lock_wait_ns,
-                totals.path.queue_wait_ns,
-                totals.path.device_service_ns,
-                totals.path.retry_backoff_ns
-            ));
-        }
-        out.push_str("}},");
-        // Completion-driven ring (all-zero when `ring_submit` is off, so
-        // the additive section's presence never depends on the knob).
-        out.push_str("\"ring\":{");
-        out.push_str(&format!("\"enabled\":{},", self.ring_enabled));
-        push_field(&mut out, "absorbed_reads", self.ring_absorbed_reads);
-        push_field(&mut out, "spec_issued", self.ring_spec_issued);
-        push_field(&mut out, "spec_absorbed", self.ring_spec_absorbed);
-        push_field(&mut out, "spec_cancelled", self.ring_spec_cancelled);
-        out.push_str(&format!(
-            "\"spec_pages_charged\":{}",
-            self.ring_spec_pages_charged
-        ));
-        out.push_str("},");
-        // Range-index structure (additive; depth/leaves describe current
-        // shape, the rest are monotone event counters).
-        out.push_str("\"range_index\":{");
-        push_field(&mut out, "depth", self.range_index_depth);
-        push_field(&mut out, "leaves", self.range_index_leaves);
-        push_field(&mut out, "splits", self.range_index_splits);
-        push_field(&mut out, "merges", self.range_index_merges);
-        out.push_str(&format!(
-            "\"optimistic_retries\":{}",
-            self.range_index_retries
-        ));
-        out.push_str("},");
-        // Multi-tenant arbitration (additive; empty list without an
-        // arbiter, so stripping the section restores the pre-tenant byte
-        // layout exactly).
-        out.push_str("\"tenants\":{");
-        out.push_str(&format!("\"enabled\":{},", self.tenants_enabled));
-        push_field(&mut out, "rebalances", self.tenant_rebalances);
-        out.push_str("\"list\":[");
-        for (i, row) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"qos\":\"{}\",\"weight\":{},\"budget_pages\":{},\"window_used_pages\":{},\"initiated_pages\":{},\"admitted_pages\":{},\"degraded_coalesced\":{},\"degraded_blind\":{},\"denied\":{},\"denied_pages\":{}}}",
-                json_escape(&row.name),
-                row.qos,
-                row.weight,
-                row.budget_pages,
-                row.window_used_pages,
-                row.initiated_pages,
-                row.admitted_pages,
-                row.degraded_coalesced,
-                row.degraded_blind,
-                row.denied,
-                row.denied_pages
-            ));
-        }
-        out.push_str("]},");
-        // Cross-tier placement & write-back (all-zero/false when tiering
-        // and the write-back daemon are off, so the additive section's
-        // presence never depends on the knobs; `schema_compat` strips it
-        // for pre-tiering comparisons).
-        out.push_str("\"tiering\":{");
-        out.push_str(&format!("\"enabled\":{},", self.tiering_enabled));
-        out.push_str(&format!(
-            "\"writeback_enabled\":{},",
-            self.writeback_enabled
-        ));
-        out.push_str("\"local\":{");
-        push_field(&mut out, "reads", self.tier_local_reads);
-        push_field(&mut out, "writes", self.tier_local_writes);
-        push_field(&mut out, "read_bytes", self.tier_local_read_bytes);
-        push_field(&mut out, "write_bytes", self.tier_local_write_bytes);
-        push_field(&mut out, "resident_blocks", self.tier_local_resident_blocks);
-        out.push_str(&format!(
-            "\"capacity_blocks\":{}",
-            self.tier_local_capacity_blocks
-        ));
-        out.push_str("},");
-        out.push_str("\"remote\":{");
-        push_field(&mut out, "reads", self.tier_remote_reads);
-        push_field(&mut out, "writes", self.tier_remote_writes);
-        push_field(&mut out, "read_bytes", self.tier_remote_read_bytes);
-        out.push_str(&format!("\"write_bytes\":{}", self.tier_remote_write_bytes));
-        out.push_str("},");
-        out.push_str("\"promotions\":{");
-        push_field(&mut out, "issued", self.promotions_issued);
-        push_field(&mut out, "completed", self.promotions_completed);
-        push_field(&mut out, "pages", self.promotion_pages);
-        push_field(&mut out, "retries", self.promotion_retries);
-        push_field(&mut out, "give_ups", self.promotion_give_ups);
-        push_field(&mut out, "blocks", self.tier_promoted_blocks);
-        push_field(&mut out, "faults", self.tier_promotion_faults);
-        out.push_str(&format!(
-            "\"wasted_blocks\":{}",
-            self.tier_promoted_wasted_blocks
-        ));
-        out.push_str("},");
-        out.push_str("\"demotions\":{");
-        push_field(&mut out, "passes", self.tier_demotions);
-        push_field(&mut out, "blocks", self.tier_demoted_blocks);
-        out.push_str(&format!(
-            "\"dirty_blocks\":{}",
-            self.tier_demoted_dirty_blocks
-        ));
-        out.push_str("},");
-        out.push_str("\"writeback\":{");
-        push_field(&mut out, "dirtied_pages", self.wb_dirtied_pages);
-        push_field(&mut out, "written_back_pages", self.wb_written_back_pages);
-        push_field(&mut out, "dropped_dirty_pages", self.wb_dropped_dirty_pages);
-        push_field(&mut out, "dirty_pages", self.wb_dirty_pages_now);
-        push_field(&mut out, "flush_threshold", self.wb_flush_threshold);
-        push_field(&mut out, "flush_deadline", self.wb_flush_deadline);
-        push_field(&mut out, "flush_sync", self.wb_flush_sync);
-        push_field(&mut out, "flush_drop", self.wb_flush_drop);
-        push_field(&mut out, "runs_flushed", self.wb_runs_flushed);
-        out.push_str(&format!("\"runs_coalesced\":{}", self.wb_runs_coalesced));
-        out.push_str("}},");
-        // Keep "registries" the last section: shard count is deployment
-        // configuration (it never affects the simulated timeline), so
-        // determinism checks across shard counts compare the prefix.
-        out.push_str("\"registries\":{");
-        for (i, (name, stats)) in [
-            ("lib_files", &self.lib_registry),
-            ("os_caches", &self.os_cache_registry),
-            ("os_fds", &self.os_fd_registry),
-        ]
-        .iter()
-        .enumerate()
-        {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"shards\":{},\"lock_wait_ns\":{},\"contended\":{},\"per_shard_wait_ns\":[{}]}}",
-                name,
-                stats.shards(),
-                stats.total_wait_ns(),
-                stats.total_contended(),
-                stats
-                    .per_shard_wait_ns
-                    .iter()
-                    .map(|ns| ns.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ));
-        }
-        out.push_str("}}");
-        out
-    }
-
     fn latency_line(name: &str, snap: &HistogramSnapshot) -> String {
         if snap.count == 0 {
             format!("  {name:<16} (no samples)")
@@ -918,23 +618,6 @@ impl RuntimeReport {
             )
         }
     }
-}
-
-fn push_field(out: &mut String, name: &str, value: u64) {
-    out.push_str(&format!("\"{name}\":{value},"));
-}
-
-/// One histogram as a `{count, sum, p50, p95, p99}` summary object.
-fn json_hist(name: &str, snap: &HistogramSnapshot) -> String {
-    format!(
-        "\"{}\":{{\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-        name,
-        snap.count,
-        snap.sum,
-        snap.p50(),
-        snap.p95(),
-        snap.p99()
-    )
 }
 
 /// Minimal JSON string escaping (quotes, backslash, control chars).
@@ -1164,8 +847,9 @@ impl fmt::Display for RuntimeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mode;
-    use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
+    use crate::tenant::{QosClass, TenantId, TenantSpec, TenantsConfig};
+    use crate::{Mode, RuntimeConfig, TieringConfig, PAGE_SIZE};
+    use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig, TieredStore};
 
     fn runtime() -> Runtime {
         let os = Os::new(
@@ -1206,18 +890,8 @@ mod tests {
         let file = rt.create_sized(&mut clock, "/t", 1 << 20).unwrap();
         file.read_charge(&mut clock, 0, 64 * 1024);
         let rendered = RuntimeReport::collect(&rt).to_string();
-        for section in [
-            "I/O",
-            "cache",
-            "prefetch",
-            "quality",
-            "eviction",
-            "device",
-            "lock waits",
-            "faults",
-            "trace",
-            "latency",
-        ] {
+        let sections = "I/O|cache|prefetch|quality|eviction|device|lock waits|faults|trace|latency";
+        for section in sections.split('|') {
             assert!(rendered.contains(section), "missing section {section}");
         }
     }
@@ -1267,32 +941,108 @@ mod tests {
         assert_eq!(json.matches('"').count() % 2, 0, "unbalanced quotes");
     }
 
-    #[test]
-    fn delta_is_monotonic_and_interval_scoped() {
-        let rt = runtime();
+    /// Every opt-in mechanism on (tiered store with write-back, adaptive
+    /// engine, ring, two tenants, tiering, spans) over a read + write +
+    /// `fsync` mix; returns the reports at the midpoint and at the end.
+    fn all_on_reports() -> (RuntimeReport, RuntimeReport) {
+        let mut os_config = OsConfig::with_memory_mb(32);
+        os_config.writeback = Some(simos::WritebackConfig::default());
+        let (local, remote) = (DeviceConfig::local_nvme(), DeviceConfig::remote_nvmeof());
+        let store = TieredStore::new(Device::new(local), Device::new(remote), 2048);
+        let os = Os::new_tiered(os_config, store, FileSystem::new(FsKind::Ext4Like));
+        let mut config = RuntimeConfig::new(Mode::PredictOpt);
+        config.engine = predict::EngineKind::Adaptive;
+        config.ring_submit = true;
+        config.tiering = Some(TieringConfig::new());
+        let tenants = [("gold", QosClass::Gold), ("bronze", QosClass::Bronze)];
+        config.tenants = Some(TenantsConfig::new(
+            tenants
+                .map(|(name, qos)| TenantSpec::new(name, qos))
+                .to_vec(),
+        ));
+        let rt = Runtime::new(os, config);
+        rt.spans().set_enabled(true);
         let mut clock = rt.new_clock();
-        let file = rt.create_sized(&mut clock, "/t", 8 << 20).unwrap();
-        for i in 0..64u64 {
-            file.read_charge(&mut clock, i * 16 * 1024, 16 * 1024);
+        let [a, b] = [0, 1].map(|t| {
+            let path = format!("/t{t}");
+            rt.create_sized_for_tenant(&mut clock, &path, 8 << 20, TenantId(t))
+                .unwrap()
+        });
+        let mut halves = Vec::new();
+        for i in 0..512u64 {
+            a.read_charge(&mut clock, i * 16 * 1024, 16 * 1024);
+            let page = i.wrapping_mul(0x9E37_79B9) % 2000;
+            b.write_charge(&mut clock, page * PAGE_SIZE, 2 * PAGE_SIZE);
+            b.read_charge(&mut clock, (2000 - page) * PAGE_SIZE, 4 * PAGE_SIZE);
+            if i % 32 == 0 {
+                b.fsync(&mut clock);
+            }
+            if i % 256 == 255 {
+                halves.push(RuntimeReport::collect(&rt));
+            }
         }
-        let first = RuntimeReport::collect(&rt);
-        for i in 64..96u64 {
-            file.read_charge(&mut clock, i * 16 * 1024, 16 * 1024);
+        let end = halves.pop().unwrap();
+        (halves.pop().unwrap(), end)
+    }
+
+    /// `(key, value)` for every scalar of a JSON export, in order; array
+    /// elements take their array's key.
+    fn leaves(json: &str) -> Vec<(String, String)> {
+        let (mut out, mut key, mut token) = (vec![], String::new(), String::new());
+        let mut quoted = false;
+        for c in json.chars() {
+            quoted ^= c == '"';
+            match c {
+                '"' => {}
+                _ if quoted => token.push(c),
+                ':' => key = std::mem::take(&mut token),
+                ',' | '}' | ']' if !token.is_empty() => {
+                    out.push((key.clone(), std::mem::take(&mut token)))
+                }
+                '{' | '[' | ',' | '}' | ']' => {}
+                _ => token.push(c),
+            }
         }
-        let second = RuntimeReport::collect(&rt);
-        let delta = second.delta(&first);
-        assert_eq!(delta.reads, 32);
-        // Monotone counters never go negative (saturating), and the delta
-        // is bounded by the later snapshot.
-        assert!(delta.pages_initiated <= second.pages_initiated);
-        assert!(delta.device_read_bytes <= second.device_read_bytes);
-        let delta_samples = delta.read_cache_hit.count
-            + delta.read_prefetch_hit.count
-            + delta.read_demand_miss.count;
-        assert_eq!(delta_samples, 32);
-        // Delta of a report with itself is empty.
-        let zero = second.delta(&second);
-        assert_eq!(zero.reads, 0);
-        assert_eq!(zero.read_cache_hit.count, 0);
+        out
+    }
+
+    /// The table's kinds: a self-delta zeroes every counter and keeps every
+    /// gauge, and an interval delta is the field-wise difference.
+    #[test]
+    fn delta_follows_the_counter_and_gauge_kinds() {
+        const GAUGES: &str = "schema_version mode resident_pages budget_pages degraded_to_blind \
+            hit_ratio selected enabled depth leaves name qos weight window_used_pages \
+            writeback_enabled resident_blocks capacity_blocks dirty_pages shards";
+        let (earlier, later) = all_on_reports();
+        let full = leaves(&later.to_json());
+        let zero = leaves(&later.delta(&later).to_json());
+        assert_eq!(full.len(), zero.len());
+        for ((key, value), (zero_key, zero_value)) in full.iter().zip(&zero) {
+            assert_eq!(key, zero_key);
+            let gauge = GAUGES.split_whitespace().any(|g| g == key);
+            assert_eq!(zero_value, if gauge { value } else { "0" }, "{key}");
+        }
+        // One field per section, each of which moved in the interval.
+        let d = later.delta(&earlier);
+        type Field = fn(&RuntimeReport) -> u64;
+        let fields: [(&str, Field); 11] = [
+            ("reads", |r| r.reads),
+            ("pages_initiated", |r| r.pages_initiated),
+            ("timely", |r| r.prefetch_quality.timely),
+            ("demand_miss", |r| r.read_demand_miss.count),
+            ("predict_stage", |r| r.stage_latency[1].1.count),
+            ("mining_passes", |r| r.engine_mining_passes),
+            ("demand_miss_spans", |r| r.spans_classes[2].1.reads),
+            ("absorbed_reads", |r| r.ring_absorbed_reads),
+            ("splits", |r| r.range_index_splits),
+            ("gold_initiated", |r| r.tenants[0].initiated_pages),
+            ("dirtied_pages", |r| r.wb_dirtied_pages),
+        ];
+        for (name, field) in fields {
+            assert!(field(&later) > field(&earlier), "{name} did not move");
+            assert_eq!(field(&d), field(&later) - field(&earlier), "{name}");
+        }
+        let samples = d.read_cache_hit.count + d.read_prefetch_hit.count + d.read_demand_miss.count;
+        assert_eq!(samples, d.reads);
     }
 }

@@ -45,7 +45,7 @@ fn throttled_fleet() -> FleetConfig {
 }
 
 /// Removes a `"name":{...},`-shaped top-level section from a report JSON
-/// string (brace-counted), as `examples/schema_compat.rs` does.
+/// string (brace-counted).
 fn strip_section(json: &str, name: &str) -> String {
     let key = format!("\"{name}\":{{");
     let Some(start) = json.find(&key) else {
