@@ -141,6 +141,8 @@ pub struct Predictor {
     dir_score: i32,
     /// Pages consumed in the current sequential run.
     run_pages: u64,
+    /// Accesses in the current sequential run.
+    run_accesses: u64,
     /// Exponential moving average of completed run lengths — used to cap
     /// speculation for batched-but-random streams so the window covers
     /// the rest of the batch without overshooting into the jump.
@@ -180,6 +182,7 @@ impl Predictor {
             aggressive_window: 0,
             dir_score: 0,
             run_pages: 0,
+            run_accesses: 0,
             avg_run_pages: 0,
         }
     }
@@ -253,8 +256,10 @@ impl Predictor {
         // Run-length tracking for fine-grained speculation capping.
         if sequentialish {
             self.run_pages += count;
+            self.run_accesses += 1;
         } else {
-            if self.run_pages > 0 {
+            // A lone access between two jumps is a random read, not a run.
+            if self.run_accesses > 1 {
                 self.avg_run_pages = if self.avg_run_pages == 0 {
                     self.run_pages
                 } else {
@@ -262,6 +267,7 @@ impl Predictor {
                 };
             }
             self.run_pages = count;
+            self.run_accesses = 1;
         }
 
         if self.skip > 0 {
@@ -358,6 +364,7 @@ impl Predictor {
         self.aggressive_window = 0;
         self.dir_score = 0;
         self.run_pages = 0;
+        self.run_accesses = 0;
         self.avg_run_pages = 0;
     }
 }
