@@ -21,8 +21,7 @@
 //! Acceptance gate: the gold tenant's p99 demand-read latency under the
 //! full arbitrated fleet must stay within `CP_FLEET_P99_BOUND` (default
 //! 4.0) of its unloaded baseline, and the arbitrated fleet's aggregate
-//! prefetch-hit ratio — `(timely + late) / initiated`, the same
-//! effectiveness metric `engine_compare` gates on — must strictly beat
+//! prefetch-hit ratio — `(timely + late) / initiated` — must strictly beat
 //! the no-arbiter run's. The harness exits nonzero otherwise. With
 //! `CP_BENCH_TELEMETRY_DIR` set, each run writes a
 //! `BENCH_fleet_<run>.json` telemetry sidecar.
@@ -103,8 +102,8 @@ fn cache_hit_ratio(result: &FleetResult) -> f64 {
 }
 
 /// Aggregate prefetch-hit ratio, `(timely + late) / initiated` — the
-/// repo's standard prefetch-effectiveness metric (cf. `engine_compare`):
-/// of the pages prefetching initiated, how many a read actually consumed.
+/// repo's standard prefetch-effectiveness metric: of the pages
+/// prefetching initiated, how many a read actually consumed.
 fn prefetch_hit_ratio(report: &RuntimeReport) -> f64 {
     let q = &report.prefetch_quality;
     let useful = q.timely + q.late;

@@ -1,6 +1,6 @@
 //! Runtime modes, feature staging, and tunables.
 
-use predict::{AdaptiveConfig, CorrelationConfig, EngineConfig, EngineKind, SEQ_BATCH_PAGES};
+use predict::{EngineConfig, EngineKind, SEQ_BATCH_PAGES};
 use simos::PAGE_SIZE;
 
 /// The comparison mechanisms of the paper's Table 2 (plus the Figure 2
@@ -107,32 +107,14 @@ pub struct RuntimeConfig {
     pub features: Option<Features>,
     /// Predictor counter width in bits (`CROSS_BITMAP_SHIFT` analogue).
     pub predictor_bits: u32,
-    /// Which prediction engine new descriptors use. `Strided` (the
-    /// default) is the §4.6 counter and keeps telemetry byte-identical to
-    /// the pre-engine runtime; `Correlation` mines recurring block
-    /// associations; `Adaptive` set-duels the two per file. Only modes
-    /// with the `predict` feature consult it.
+    /// Which prediction engine new descriptors use: the §4.6 strided
+    /// counter, the only one there is. Only modes with the `predict`
+    /// feature consult an engine at all.
     pub engine: EngineKind,
     /// Sequential-batch window in pages: jumps within this distance of
     /// the previous access still count as sequential-ish (Linux's
     /// 32-block batch, §3.1). Default [`predict::SEQ_BATCH_PAGES`].
     pub seq_batch_pages: u64,
-    /// Correlation engine: history-ring capacity in observations.
-    pub correlation_history: usize,
-    /// Correlation engine: association-table entry cap.
-    pub correlation_max_assocs: usize,
-    /// Correlation engine: observations between background mining passes.
-    pub correlation_mine_interval: u64,
-    /// Correlation engine: successor support needed before prefetching.
-    pub correlation_min_support: u32,
-    /// Correlation engine: page cap per learned prefetch run.
-    pub correlation_max_span_pages: u64,
-    /// Adaptive engine: every n-th access is shadow-scored.
-    pub adaptive_sample_interval: u64,
-    /// Adaptive engine: sampled accesses per duel window.
-    pub adaptive_duel_window: u64,
-    /// Adaptive engine: shadow-book capacity per sub-engine.
-    pub adaptive_shadow_capacity: usize,
     /// Optimistic prefetch issued at a descriptor's first read, bytes
     /// (§4.6 default 2 MiB).
     pub open_prefetch_bytes: u64,
@@ -215,14 +197,6 @@ impl RuntimeConfig {
             predictor_bits: 3,
             engine: EngineKind::Strided,
             seq_batch_pages: SEQ_BATCH_PAGES,
-            correlation_history: 512,
-            correlation_max_assocs: 4096,
-            correlation_mine_interval: 64,
-            correlation_min_support: 2,
-            correlation_max_span_pages: 32,
-            adaptive_sample_interval: 4,
-            adaptive_duel_window: 16,
-            adaptive_shadow_capacity: 64,
             open_prefetch_bytes: 2 << 20,
             max_prefetch_pages: (64 << 20) / PAGE_SIZE,
             workers: 2,
@@ -258,24 +232,11 @@ impl RuntimeConfig {
         }
     }
 
-    /// Bundles the engine tuning knobs for [`predict::Engine::for_kind`].
+    /// Bundles the predictor tuning knobs for [`predict::Predictor::for_kind`].
     pub fn engine_config(&self) -> EngineConfig {
         EngineConfig {
             predictor_bits: self.predictor_bits,
             seq_batch_pages: self.seq_batch_pages,
-            correlation: CorrelationConfig {
-                history: self.correlation_history,
-                max_assocs: self.correlation_max_assocs,
-                mine_interval: self.correlation_mine_interval,
-                min_support: self.correlation_min_support,
-                max_span_pages: self.correlation_max_span_pages,
-            },
-            adaptive: AdaptiveConfig {
-                sample_interval: self.adaptive_sample_interval,
-                duel_window: self.adaptive_duel_window,
-                shadow_capacity: self.adaptive_shadow_capacity,
-                shadow_age: AdaptiveConfig::default().shadow_age,
-            },
         }
     }
 }
@@ -337,12 +298,8 @@ mod tests {
         let mut config = RuntimeConfig::new(Mode::Predict);
         config.predictor_bits = 4;
         config.seq_batch_pages = 64;
-        config.correlation_min_support = 3;
-        config.adaptive_duel_window = 8;
         let ec = config.engine_config();
         assert_eq!(ec.predictor_bits, 4);
         assert_eq!(ec.seq_batch_pages, 64);
-        assert_eq!(ec.correlation.min_support, 3);
-        assert_eq!(ec.adaptive.duel_window, 8);
     }
 }

@@ -69,9 +69,8 @@ pub use config::{Features, Mode, RuntimeConfig};
 pub use metrics::{PipelineStage, ReadClass, RuntimeMetrics};
 pub use policy::{OpenAction, Policy, PostReadHook};
 pub use predict::{
-    AccessPattern, AdaptiveConfig, AdaptiveEngine, CorrelationConfig, CorrelationEngine, Direction,
-    Engine, EngineConfig, EngineKind, Prediction, PredictionEngine, Predictor, PrefetchDecision,
-    PrefetchRun, QualityFeedback, SEQ_BATCH_PAGES,
+    AccessPattern, Direction, Engine, EngineConfig, EngineKind, Prediction, PredictionEngine,
+    Predictor, PrefetchDecision, SEQ_BATCH_PAGES,
 };
 pub use range_index::{BPlusRangeIndex, IndexStats, LockScope};
 pub use ring::SpecRead;

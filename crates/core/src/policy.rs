@@ -9,8 +9,6 @@
 //! Table-2 variant means adding a row here (plus its [`Mode`] arm) and
 //! touching nothing else.
 
-use predict::EngineKind;
-
 use crate::config::{Features, Mode, RuntimeConfig};
 use crate::range_index::LockScope;
 
@@ -66,11 +64,6 @@ pub struct Policy {
     /// the shared cache-state bitmap, so the flag is the config knob
     /// ANDed with the visibility feature.
     pub ring: bool,
-    /// The prediction engine new descriptors are built with. Only
-    /// predicting modes consult an engine at all, so non-predict modes
-    /// resolve to the (stateless-by-disuse) strided default regardless of
-    /// the config knob.
-    pub engine: EngineKind,
     /// Multi-tenant admission control: `true` when a tenant table is
     /// configured and a [`crate::tenant::TenantArbiter`] will be built.
     /// Unlike the ring this needs no visibility — the degraded rungs of
@@ -119,11 +112,6 @@ impl Policy {
             scope,
             post_read,
             ring: features.visibility && config.ring_submit,
-            engine: if features.predict {
-                config.engine
-            } else {
-                EngineKind::Strided
-            },
             tenants: config.tenants.is_some(),
             tiering: config.tiering.is_some(),
         }
@@ -237,26 +225,6 @@ mod tests {
             )]));
             assert!(Policy::for_config(&config).tenants);
         }
-    }
-
-    #[test]
-    fn engine_resolves_to_strided_without_predict() {
-        // The knob only matters where a predictor runs at all.
-        let mut passthrough = RuntimeConfig::new(Mode::OsOnly);
-        passthrough.engine = EngineKind::Correlation;
-        assert_eq!(Policy::for_config(&passthrough).engine, EngineKind::Strided);
-
-        let mut fetchall = RuntimeConfig::new(Mode::FetchAllOpt);
-        fetchall.engine = EngineKind::Adaptive;
-        assert_eq!(Policy::for_config(&fetchall).engine, EngineKind::Strided);
-
-        let mut predict = RuntimeConfig::new(Mode::Predict);
-        predict.engine = EngineKind::Correlation;
-        assert_eq!(Policy::for_config(&predict).engine, EngineKind::Correlation);
-        assert_eq!(
-            Policy::for_config(&RuntimeConfig::new(Mode::PredictOpt)).engine,
-            EngineKind::Strided
-        );
     }
 
     #[test]

@@ -164,10 +164,10 @@ pub(crate) struct ReadCtx {
     /// Pages of the span the user-level view claimed cached (set by the
     /// cache-probe stage, consumed by the ring's absorb decision).
     claimed: u64,
-    /// Engine output (set by the predict stage, consumed by the
-    /// prefetch-plan stage): the strided prediction, any mined
-    /// correlation runs, and mining/duel bookkeeping.
-    decision: PrefetchDecision,
+    /// Engine output (set by the predict stage when the mechanism
+    /// predicts, consumed by the prefetch-plan stage): the strided
+    /// prediction and its confidence.
+    decision: Option<PrefetchDecision>,
     /// Page range `[start, end)` of the predicted *next* demand read,
     /// set by the prefetch-plan stage when the ring is on and the
     /// engine's confidence clears the speculation bar; consumed by the
@@ -318,7 +318,7 @@ impl CpFile {
             tracing,
             spans,
             claimed: 0,
-            decision: PrefetchDecision::default(),
+            decision: None,
             spec_target: None,
             stage_start_ns: entry_ns,
         };
@@ -326,11 +326,10 @@ impl CpFile {
         ctx
     }
 
-    /// Stage 2 — predict: one engine step per intercepted access (cheap,
-    /// §4.6's per-descriptor pattern classification, generalised to the
-    /// pluggable engines), plus the pattern-flip trace event. The strided
-    /// engine's step is the historical predictor step exactly — one clock
-    /// advance, one `on_access`, nothing else.
+    /// Stage 2 — predict: one predictor step per intercepted access
+    /// (cheap, §4.6's per-descriptor pattern classification), plus the
+    /// pattern-flip trace event — one clock advance, one `on_access`,
+    /// nothing else.
     fn stage_predict(&self, clock: &mut ThreadClock, ctx: &mut ReadCtx) {
         let runtime = &self.runtime;
         let inner = &runtime.inner;
@@ -338,15 +337,16 @@ impl CpFile {
             clock.advance(inner.os.config().costs.predictor_step_ns);
             let aggressive_ok =
                 inner.policy.features.aggressive && runtime.aggressive_allowed(clock.now());
-            ctx.decision = self.engine.lock().observe(&AccessObservation {
+            ctx.decision = Some(self.engine.lock().observe(&AccessObservation {
                 page: ctx.p0,
                 pages: ctx.pages,
                 aggressive_ok,
                 max_prefetch_pages: inner.config.max_prefetch_pages,
-            });
+            }));
         }
         if ctx.tracing {
-            if let Some(pred) = &ctx.decision.prediction {
+            if let Some(decision) = &ctx.decision {
+                let pred = decision.prediction;
                 let index = pred.pattern.index();
                 let prev = self.last_pattern.swap(index, Ordering::Relaxed);
                 if prev != index {
@@ -382,12 +382,13 @@ impl CpFile {
         // same size as this one, adjacent in the stream's direction. The
         // account stage issues it after this access settles; the issue
         // path re-checks that normal prefetch has not covered it.
-        if inner.policy.ring
-            && ctx.pages > 0
-            && ctx.decision.confidence >= inner.config.ring_spec_confidence
-        {
-            if let Some(pred) = &ctx.decision.prediction {
-                if pred.prefetch_pages > 0 {
+        if inner.policy.ring && ctx.pages > 0 {
+            if let Some(PrefetchDecision {
+                prediction: pred,
+                confidence,
+            }) = ctx.decision
+            {
+                if confidence >= inner.config.ring_spec_confidence && pred.prefetch_pages > 0 {
                     let file_pages = inner.os.fs().size(self.file.ino).div_ceil(PAGE_SIZE);
                     ctx.spec_target = match pred.direction {
                         Direction::Forward => {
@@ -409,13 +410,9 @@ impl CpFile {
         if inner.planner.is_some() && !ctx.is_write {
             self.maybe_promote(clock, ctx);
         }
-        let decision = std::mem::take(&mut ctx.decision);
-        if let Some(pred) = decision.prediction {
-            self.paced_prefetch(clock, pred, ctx.p0, ctx.p1);
+        if let Some(decision) = ctx.decision {
+            self.paced_prefetch(clock, decision.prediction, ctx.p0, ctx.p1);
         }
-        // Correlation runs, duel bookkeeping, deferred mining — all empty
-        // for the strided engine, so the default path is unchanged.
-        self.apply_engine_decision(clock, &decision);
         ctx.close_stage(self, PipelineStage::PrefetchPlan, clock.now());
     }
 
@@ -429,7 +426,11 @@ impl CpFile {
         let Some(planner) = &inner.planner else {
             return;
         };
-        let Some(pred) = &ctx.decision.prediction else {
+        let Some(PrefetchDecision {
+            prediction: pred,
+            confidence,
+        }) = ctx.decision
+        else {
             return;
         };
         if pred.prefetch_pages == 0 || !matches!(pred.direction, Direction::Forward) {
@@ -443,12 +444,8 @@ impl CpFile {
         // The accessed pages themselves are the hottest evidence, so the
         // candidate starts at the access, not past it; the frontier trims
         // anything already requested.
-        if let Some((from, want)) = planner.plan(
-            self.file.ino.0,
-            ctx.p0,
-            end - ctx.p0,
-            ctx.decision.confidence,
-        ) {
+        if let Some((from, want)) = planner.plan(self.file.ino.0, ctx.p0, end - ctx.p0, confidence)
+        {
             self.runtime
                 .dispatch_promotion(clock, &self.file, from, want);
         }
@@ -617,13 +614,6 @@ impl CpFile {
                 PostReadHook::FincorePoll => self.hook_fincore_poll(clock, ctx),
                 PostReadHook::MemoryWatcher => runtime.maybe_evict(clock, self.file.ino),
             }
-        }
-
-        // Engines that learn from prefetch quality see the per-file
-        // timely/late/wasted delta here (no-op for the strided engine, no
-        // virtual time charged either way).
-        if !ctx.is_write {
-            self.maybe_feed_quality();
         }
 
         self.finish_io(clock, outcome, ctx);

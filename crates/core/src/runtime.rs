@@ -5,12 +5,11 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use predict::{AccessObservation, Engine, PredictionEngine, PrefetchDecision, QualityFeedback};
+use predict::{AccessObservation, Engine, PredictionEngine};
 use simclock::ThreadClock;
 use simos::shard::{RegistryStats, ShardedMap};
 use simos::{
-    Advice, Fd, FsError, InodeId, IoError, MmapOutcome, Os, PrefetchQuality, RaInfoRequest,
-    ReadOutcome, PAGE_SIZE,
+    Advice, Fd, FsError, InodeId, IoError, MmapOutcome, Os, RaInfoRequest, ReadOutcome, PAGE_SIZE,
 };
 
 use crate::config::{Mode, RuntimeConfig};
@@ -61,34 +60,19 @@ pub struct LibFile {
     pub(crate) tenant: AtomicU32,
 }
 
-/// Reads between per-file quality-feedback samples: engines that learn
-/// from timely/late/wasted accounting see a fresh delta this often, cheap
-/// enough to hide in the accounting stage, frequent enough to steer the
-/// correlation support bar and the adaptive hit weighting within a run.
-const FEEDBACK_INTERVAL_READS: u64 = 64;
-
 /// An open file handle through CROSS-LIB — the shim's `FILE*` analogue.
 ///
 /// Each handle carries its own prediction [`Engine`] (§4.6's
-/// per-file-descriptor prefetching, generalised to the pluggable engines
-/// in the [`predict`] crate), while the cache view ([`LibFile`]) is shared
-/// across handles to the same file.
+/// per-file-descriptor prefetching, from the [`predict`] crate), while
+/// the cache view ([`LibFile`]) is shared across handles to the same
+/// file.
 #[derive(Debug)]
 pub struct CpFile {
     pub(crate) runtime: Runtime,
     pub(crate) fd: Fd,
     pub(crate) file: Arc<LibFile>,
-    /// The prediction engine driving this descriptor's prefetch decisions
-    /// (strided counter by default; correlation or adaptive by config).
+    /// The strided predictor driving this descriptor's prefetch decisions.
     pub(crate) engine: Mutex<Engine>,
-    /// Whether the engine consumes prefetch-quality feedback — cached at
-    /// open so the strided hot path never touches the quality counters.
-    pub(crate) engine_feedback: bool,
-    /// Reads since the last quality-feedback sample.
-    reads_since_feedback: AtomicU64,
-    /// The timely/late/wasted totals already fed to the engine, so each
-    /// feedback call carries only the delta since the previous one.
-    fed_quality: Mutex<PrefetchQuality>,
     /// Pages prefetched ahead of (forward) or behind (backward) the stream
     /// through this descriptor — the async-marker analogue that paces
     /// window growth by consumption instead of by access count.
@@ -406,15 +390,12 @@ impl Runtime {
             OpenAction::OptimisticWindow => {}
         }
 
-        let engine = Engine::for_kind(self.inner.policy.engine, &self.inner.config.engine_config());
+        let engine = Engine::for_kind(self.inner.config.engine, &self.inner.config.engine_config());
         CpFile {
             runtime: self.clone(),
             fd,
             file,
-            engine_feedback: engine.wants_feedback(),
             engine: Mutex::new(engine),
-            reads_since_feedback: AtomicU64::new(0),
-            fed_quality: Mutex::new(PrefetchQuality::default()),
             fwd_frontier: AtomicU64::new(0),
             back_frontier: AtomicU64::new(u64::MAX),
             window_pages: AtomicU64::new(0),
@@ -1200,11 +1181,7 @@ impl CpFile {
                 aggressive_ok,
                 max_prefetch_pages: inner.config.max_prefetch_pages,
             });
-            if let Some(pred) = decision.prediction {
-                self.paced_prefetch(clock, pred, p0, p1);
-            }
-            self.apply_engine_decision(clock, &decision);
-            self.maybe_feed_quality();
+            self.paced_prefetch(clock, decision.prediction, p0, p1);
         }
         outcome
     }
@@ -1349,104 +1326,5 @@ impl CpFile {
             .worker_queue_ns
             .record(dispatch.queue_wait_ns());
         crate::span::record_leaf(SpanKind::RingSubmit, dispatch.latency_ns(), dispatch.end_ns);
-    }
-
-    // ----- prediction-engine plumbing ----------------------------------------
-
-    /// Applies the non-strided parts of an engine decision: issues the
-    /// mined correlation runs, records duel bookkeeping, and dispatches a
-    /// mining pass when one is due. A strided decision carries none of
-    /// these, so the default engine's hot path is untouched — every
-    /// counter below stays zero and no extra virtual time is charged.
-    pub(crate) fn apply_engine_decision(
-        &self,
-        clock: &mut ThreadClock,
-        decision: &PrefetchDecision,
-    ) {
-        let inner = &self.runtime.inner;
-        for run in &decision.runs {
-            if run.pages == 0 {
-                continue;
-            }
-            inner.stats.engine_assoc_runs.incr();
-            let reached = self
-                .runtime
-                .prefetch_pages(clock, &self.file, run.start, run.pages, true);
-            inner
-                .stats
-                .engine_assoc_pages
-                .add(reached.saturating_sub(run.start));
-        }
-        if decision.duel_completed {
-            inner.stats.engine_duels.incr();
-        }
-        if let Some(winner) = decision.new_owner {
-            inner.stats.engine_ownership_flips.incr();
-            inner.trace.emit(
-                clock.now(),
-                TraceEventKind::EngineOwner {
-                    ino: self.file.ino,
-                    engine: winner.name(),
-                },
-            );
-        }
-        if decision.mine_due {
-            self.dispatch_mining(clock);
-        }
-    }
-
-    /// Runs the engine's deferred mining pass on the worker pool, charging
-    /// the association-table maintenance to worker virtual time — the
-    /// miner never runs on the application thread (§4.6 keeps heavy work
-    /// off the I/O path; MITHRIL mines asynchronously for the same
-    /// reason).
-    fn dispatch_mining(&self, clock: &mut ThreadClock) {
-        let inner = &self.runtime.inner;
-        inner.stats.engine_mining_passes.incr();
-        let step_ns = inner.os.config().costs.predictor_step_ns.max(1);
-        let dispatch = inner.workers.dispatch(clock.now(), step_ns, |wclock| {
-            let pairs = self.engine.lock().mine();
-            wclock.advance(step_ns.saturating_mul(pairs.max(1)));
-        });
-        inner
-            .metrics
-            .worker_queue_ns
-            .record(dispatch.queue_wait_ns());
-    }
-
-    /// Feeds the per-file timely/late/wasted delta to engines that learn
-    /// from it (correlation support tuning, adaptive hit weighting),
-    /// sampled every [`FEEDBACK_INTERVAL_READS`] accesses. Gated off
-    /// entirely for the strided engine via the cached `engine_feedback`
-    /// flag. Reads real lock state only — no virtual time is charged, so
-    /// enabling feedback never perturbs the simulated timeline by itself.
-    pub(crate) fn maybe_feed_quality(&self) {
-        if !self.engine_feedback {
-            return;
-        }
-        if self.reads_since_feedback.fetch_add(1, Ordering::Relaxed) + 1 < FEEDBACK_INTERVAL_READS {
-            return;
-        }
-        self.reads_since_feedback.store(0, Ordering::Relaxed);
-        let quality = self
-            .runtime
-            .inner
-            .os
-            .cache(self.file.ino)
-            .state
-            .read()
-            .quality();
-        let mut fed = self.fed_quality.lock();
-        let delta = quality.delta(*fed);
-        *fed = quality;
-        drop(fed);
-        if delta == PrefetchQuality::default() {
-            return;
-        }
-        self.engine.lock().feedback(&QualityFeedback {
-            timely: delta.timely,
-            late: delta.late,
-            wasted: delta.wasted,
-        });
     }
 }

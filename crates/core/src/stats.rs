@@ -56,17 +56,6 @@ pub struct LibStats {
     /// into the prefetch-quality ledger as charged (initiated) pages so
     /// they surface as `wasted` if never used.
     pub ring_spec_pages_charged: Counter,
-    /// Correlation-mined prefetch runs issued by the prediction engine
-    /// (zero under the strided default, which emits no association runs).
-    pub engine_assoc_runs: Counter,
-    /// Pages those association runs scheduled (after memory clamping).
-    pub engine_assoc_pages: Counter,
-    /// Deferred association-mining passes dispatched to the worker pool.
-    pub engine_mining_passes: Counter,
-    /// Adaptive-engine duel windows closed (shadow scoreboards compared).
-    pub engine_duels: Counter,
-    /// Adaptive-engine ownership changes (a duel crowned a new engine).
-    pub engine_ownership_flips: Counter,
     /// Cross-tier promotion jobs dispatched to the worker pool
     /// ([`crate::tiering::TierPlanner`]-approved predicted-hot ranges).
     pub promotions_issued: Counter,

@@ -27,7 +27,9 @@ use crate::Runtime;
 /// Version 2 removed the `batching` section and the `ring` section's
 /// `demand_batch_calls`, `staged_runs_piggybacked` and `timer_fires`.
 /// Version 3 removed the `range_index` section's `kind`.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 3;
+/// Version 4 removed the `engines` section with the correlation and
+/// adaptive engines.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 4;
 
 /// Generates [`RuntimeReport`], [`RuntimeReport::delta`] and
 /// [`RuntimeReport::to_json`] from one table. Each entry reads
@@ -151,18 +153,6 @@ report_fields! {
     stage_latency: Vec<(&'static str, HistogramSnapshot)>, counter, [] "stages";
     /// Adjacent prefetch runs merged by the tenant arbiter's coalesced-only rung.
     prefetch_runs_coalesced: u64, counter, [] "prefetch_runs_coalesced";
-    /// Prediction engine new descriptors use ([`predict::EngineKind::name`], resolved).
-    engine: &'static str, gauge, ["engines"] "selected";
-    /// Correlation-mined prefetch runs the engine issued.
-    engine_assoc_runs: u64, counter, ["engines"] "assoc_runs";
-    /// Pages those association runs scheduled.
-    engine_assoc_pages: u64, counter, ["engines"] "assoc_pages";
-    /// Deferred mining passes dispatched to the worker pool.
-    engine_mining_passes: u64, counter, ["engines"] "mining_passes";
-    /// Adaptive duel windows closed.
-    engine_duels: u64, counter, ["engines"] "duels";
-    /// Adaptive ownership changes.
-    engine_ownership_flips: u64, counter, ["engines"] "ownership_flips";
     /// Whether causal span tracing was enabled at snapshot time.
     spans_enabled: bool, gauge, ["spans"] "enabled";
     /// Reads that completed with a span frame.
@@ -514,12 +504,6 @@ impl RuntimeReport {
             evict_scan: metrics.evict_scan_ns.snapshot(),
             os_reclaim_scan: os.stats().reclaim_scan_hist.snapshot(),
             prefetch_runs_coalesced: stats.prefetch_runs_coalesced.get(),
-            engine: runtime.inner.policy.engine.name(),
-            engine_assoc_runs: stats.engine_assoc_runs.get(),
-            engine_assoc_pages: stats.engine_assoc_pages.get(),
-            engine_mining_passes: stats.engine_mining_passes.get(),
-            engine_duels: stats.engine_duels.get(),
-            engine_ownership_flips: stats.engine_ownership_flips.get(),
             ring_enabled: runtime.inner.policy.ring,
             ring_absorbed_reads: os.stats().absorbed_reads.get(),
             ring_spec_issued: stats.ring_spec_issued.get(),
@@ -750,18 +734,6 @@ impl fmt::Display for RuntimeReport {
                 self.ring_spec_pages_charged
             )?;
         }
-        if self.engine != "strided" || self.engine_assoc_runs > 0 || self.engine_mining_passes > 0 {
-            writeln!(
-                f,
-                "engines    : {} selected, {} assoc runs ({} pages), {} mining passes, {} duels, {} ownership flips",
-                self.engine,
-                self.engine_assoc_runs,
-                self.engine_assoc_pages,
-                self.engine_mining_passes,
-                self.engine_duels,
-                self.engine_ownership_flips
-            )?;
-        }
         if self.tenants_enabled {
             writeln!(
                 f,
@@ -928,7 +900,7 @@ mod tests {
         }
         let json = RuntimeReport::collect(&rt).to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"schema_version\":3"));
+        assert!(json.contains("\"schema_version\":4"));
         assert!(json.contains("\"read_cache_hit_ns\""));
         assert!(json.contains("\"prefetch_quality\""));
         // Balanced braces and quotes — cheap structural sanity without a
@@ -941,8 +913,8 @@ mod tests {
         assert_eq!(json.matches('"').count() % 2, 0, "unbalanced quotes");
     }
 
-    /// Every opt-in mechanism on (tiered store with write-back, adaptive
-    /// engine, ring, two tenants, tiering, spans) over a read + write +
+    /// Every opt-in mechanism on (tiered store with write-back, ring, two
+    /// tenants, tiering, spans) over a read + write +
     /// `fsync` mix; returns the reports at the midpoint and at the end.
     fn all_on_reports() -> (RuntimeReport, RuntimeReport) {
         let mut os_config = OsConfig::with_memory_mb(32);
@@ -951,7 +923,6 @@ mod tests {
         let store = TieredStore::new(Device::new(local), Device::new(remote), 2048);
         let os = Os::new_tiered(os_config, store, FileSystem::new(FsKind::Ext4Like));
         let mut config = RuntimeConfig::new(Mode::PredictOpt);
-        config.engine = predict::EngineKind::Adaptive;
         config.ring_submit = true;
         config.tiering = Some(TieringConfig::new());
         let tenants = [("gold", QosClass::Gold), ("bronze", QosClass::Bronze)];
@@ -1011,7 +982,7 @@ mod tests {
     #[test]
     fn delta_follows_the_counter_and_gauge_kinds() {
         const GAUGES: &str = "schema_version mode resident_pages budget_pages degraded_to_blind \
-            hit_ratio selected enabled depth leaves name qos weight window_used_pages \
+            hit_ratio enabled depth leaves name qos weight window_used_pages \
             writeback_enabled resident_blocks capacity_blocks dirty_pages shards";
         let (earlier, later) = all_on_reports();
         let full = leaves(&later.to_json());
@@ -1025,13 +996,12 @@ mod tests {
         // One field per section, each of which moved in the interval.
         let d = later.delta(&earlier);
         type Field = fn(&RuntimeReport) -> u64;
-        let fields: [(&str, Field); 11] = [
+        let fields: [(&str, Field); 10] = [
             ("reads", |r| r.reads),
             ("pages_initiated", |r| r.pages_initiated),
             ("timely", |r| r.prefetch_quality.timely),
             ("demand_miss", |r| r.read_demand_miss.count),
             ("predict_stage", |r| r.stage_latency[1].1.count),
-            ("mining_passes", |r| r.engine_mining_passes),
             ("demand_miss_spans", |r| r.spans_classes[2].1.reads),
             ("absorbed_reads", |r| r.ring_absorbed_reads),
             ("splits", |r| r.range_index_splits),

@@ -232,15 +232,6 @@ pub enum TraceEventKind {
         /// used).
         pages_charged: u64,
     },
-    /// The adaptive engine's duel crowned a new owner for a descriptor's
-    /// prefetch decisions (the per-file engine-selection timeline).
-    EngineOwner {
-        /// File whose descriptor changed owners.
-        ino: InodeId,
-        /// Stable name of the engine now owning decisions
-        /// ([`predict::EngineKind::name`]).
-        engine: &'static str,
-    },
 }
 
 impl TraceEventKind {
@@ -264,7 +255,6 @@ impl TraceEventKind {
             TraceEventKind::RingAbsorbed { .. } => "ring-absorbed",
             TraceEventKind::RingSpecIssued { .. } => "ring-spec-issued",
             TraceEventKind::RingSpecCancelled { .. } => "ring-spec-cancelled",
-            TraceEventKind::EngineOwner { .. } => "engine-owner",
         }
     }
 }
@@ -407,9 +397,6 @@ impl fmt::Display for TraceEvent {
                 start_page,
                 pages_charged,
             } => write!(f, "ino={} pages={}+{}", ino.0, start_page, pages_charged),
-            TraceEventKind::EngineOwner { ino, engine } => {
-                write!(f, "ino={} engine={engine}", ino.0)
-            }
         }
     }
 }

@@ -14,7 +14,7 @@
 //!
 //! Every background job goes through [`WorkerPool::dispatch`]: planned
 //! prefetch runs (one `readahead_info` per run, §4.3), cross-tier
-//! promotions, the ring's speculative pre-issue, and engine mining passes.
+//! promotions and the ring's speculative pre-issue.
 
 use std::sync::Arc;
 

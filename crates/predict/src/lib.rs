@@ -1,72 +1,34 @@
-//! Pluggable prefetch prediction engines for the CrossPrefetch runtime.
+//! The prefetch predictor of the CrossPrefetch runtime.
 //!
-//! CROSS-LIB's original predictor (§4.6) is a single hard-wired strided
-//! counter. This crate turns prediction into a subsystem: the
-//! [`PredictionEngine`] trait observes accesses and emits a
-//! [`PrefetchDecision`], and three engines implement it —
+//! CROSS-LIB predicts with one per-file-descriptor strided counter
+//! (§4.6), [`Predictor`]. The runtime holds one [`Engine`] per file
+//! descriptor and calls [`PredictionEngine::observe`] from its predict
+//! pipeline stage; the decision's [`Prediction`] feeds the paced-frontier
+//! planner, and its confidence gates the ring's speculation and tier
+//! promotion.
 //!
-//! | Engine | Model | Wins on |
-//! |---|---|---|
-//! | [`Predictor`] (*strided*, default) | n-bit saturating counter | streaming / strided scans |
-//! | [`CorrelationEngine`] | MITHRIL-style block-association mining | recurring random chains |
-//! | [`AdaptiveEngine`] | per-file set-dueling over both | mixed / phase-changing files |
-//!
-//! The runtime holds one [`Engine`] per file descriptor and calls
-//! [`PredictionEngine::observe`] from its predict pipeline stage; the
-//! decision's [`Prediction`] (if any) feeds the existing paced-frontier
-//! planner, while explicit [`PrefetchRun`]s are issued directly. Engines
-//! that return `true` from [`PredictionEngine::wants_feedback`] receive
-//! the timely/late/wasted tallies from the OS prefetch-quality accounting
-//! via [`PredictionEngine::feedback`], and `mine_due` decisions schedule
-//! [`PredictionEngine::mine`] on the worker pool, keeping table
-//! maintenance off the read path.
-//!
-//! The crate is deliberately free of clock, OS, and I/O types: engines
-//! are pure deterministic state machines over page numbers, which keeps
-//! them unit-testable and the simulation byte-reproducible.
+//! The crate is deliberately free of clock, OS, and I/O types: the
+//! predictor is a pure deterministic state machine over page numbers,
+//! which keeps it unit-testable and the simulation byte-reproducible.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
-pub mod correlation;
 pub mod strided;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveEngine};
-pub use correlation::{CorrelationConfig, CorrelationEngine, CorrelationStats};
 pub use strided::{AccessPattern, Direction, Prediction, Predictor, SEQ_BATCH_PAGES};
 
-/// Which prediction engine a file descriptor uses.
+/// The per-descriptor prediction engine: the strided counter.
+pub type Engine = Predictor;
+
+/// Which prediction engine a file descriptor uses. The strided counter
+/// is the only one: the correlation and adaptive engines lost to it end
+/// to end on their own workload and were removed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
     /// The §4.6 n-bit saturating-counter strided predictor.
     #[default]
     Strided,
-    /// MITHRIL-style correlation mining over a bounded history ring.
-    Correlation,
-    /// Per-file set-dueling between the other two.
-    Adaptive,
-}
-
-impl EngineKind {
-    /// Stable lower-case label used in telemetry, traces, and bench
-    /// sidecar names.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Strided => "strided",
-            EngineKind::Correlation => "correlation",
-            EngineKind::Adaptive => "adaptive",
-        }
-    }
-
-    /// All selectable engines, in telemetry order.
-    pub fn all() -> [EngineKind; 3] {
-        [
-            EngineKind::Strided,
-            EngineKind::Correlation,
-            EngineKind::Adaptive,
-        ]
-    }
 }
 
 /// One observed access, in pages, as seen by the predict stage.
@@ -82,93 +44,34 @@ pub struct AccessObservation {
     pub max_prefetch_pages: u64,
 }
 
-/// An explicit prefetch request emitted by an engine: `pages` pages
-/// starting at `start`, independent of the paced sequential frontier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefetchRun {
-    /// First page to prefetch.
-    pub start: u64,
-    /// Run length in pages.
-    pub pages: u64,
-}
-
-/// What an engine wants done after observing one access.
-#[derive(Debug, Clone, Default)]
+/// What the engine wants done after observing one access.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrefetchDecision {
-    /// A strided-style prediction for the paced-frontier planner (window
-    /// sizing, direction, jump detection). `None` when the deciding
-    /// engine does not reason in frontiers.
-    pub prediction: Option<Prediction>,
-    /// Explicit runs to prefetch as-is (correlation-learned successors).
-    pub runs: Vec<PrefetchRun>,
+    /// The prediction for the paced-frontier planner (window sizing,
+    /// direction, jump detection).
+    pub prediction: Prediction,
     /// The engine's confidence in this decision, in `[0, 1]`.
     pub confidence: f64,
-    /// The engine's background mining pass is due; the runtime should
-    /// schedule [`PredictionEngine::mine`] on a worker.
-    pub mine_due: bool,
-    /// An adaptive duel window closed on this access.
-    pub duel_completed: bool,
-    /// Ownership of real prefetch decisions transferred to this engine
-    /// kind on this access (set only when it actually changed).
-    pub new_owner: Option<EngineKind>,
-}
-
-/// Timely/late/wasted deltas from the OS prefetch-quality accounting,
-/// fed back to engines that ask for it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QualityFeedback {
-    /// Prefetched pages that were resident before first use.
-    pub timely: u64,
-    /// Prefetched pages still in flight at first use.
-    pub late: u64,
-    /// Prefetched pages evicted or dropped before any use.
-    pub wasted: u64,
 }
 
 /// A prefetch prediction engine: a deterministic state machine from
 /// access streams to prefetch decisions.
 pub trait PredictionEngine {
-    /// Which engine this is.
-    fn kind(&self) -> EngineKind;
-
     /// Feeds one access; returns the engine's decision.
     fn observe(&mut self, obs: &AccessObservation) -> PrefetchDecision;
-
-    /// Receives timely/late/wasted deltas from the runtime's quality
-    /// accounting. Only called when [`PredictionEngine::wants_feedback`]
-    /// returns `true`.
-    fn feedback(&mut self, _fb: &QualityFeedback) {}
-
-    /// Whether the runtime should sample quality deltas for this engine.
-    /// The strided default returns `false`, keeping its read path free of
-    /// the extra accounting.
-    fn wants_feedback(&self) -> bool {
-        false
-    }
-
-    /// Runs one background maintenance pass (association mining); returns
-    /// the units of work done, which the caller converts into a
-    /// virtual-time charge on the worker that runs it.
-    fn mine(&mut self) -> u64 {
-        0
-    }
 
     /// Clears stream history (e.g. after an explicit seek).
     fn reset(&mut self);
 }
 
-/// Construction-time tuning shared by all engines; the runtime builds one
-/// from its `RuntimeConfig`.
+/// Construction-time tuning; the runtime builds one from its
+/// `RuntimeConfig`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Strided counter width in bits (1..=5).
     pub predictor_bits: u32,
     /// Sequential-batch window in pages (default [`SEQ_BATCH_PAGES`]).
     pub seq_batch_pages: u64,
-    /// Correlation-miner tuning.
-    pub correlation: CorrelationConfig,
-    /// Adaptive-selector tuning.
-    pub adaptive: AdaptiveConfig,
 }
 
 impl Default for EngineConfig {
@@ -176,102 +79,17 @@ impl Default for EngineConfig {
         Self {
             predictor_bits: 3,
             seq_batch_pages: SEQ_BATCH_PAGES,
-            correlation: CorrelationConfig::default(),
-            adaptive: AdaptiveConfig::default(),
         }
     }
 }
 
-/// A concrete engine, statically dispatched (the per-read hot path stays
-/// free of vtable indirection).
-#[derive(Debug, Clone)]
-pub enum Engine {
-    /// The strided counter (default).
-    Strided(Predictor),
-    /// The correlation miner.
-    Correlation(CorrelationEngine),
-    /// The adaptive selector (boxed: it embeds both sub-engines plus two
-    /// shadow books, and the common case is the slim strided variant).
-    Adaptive(Box<AdaptiveEngine>),
-}
-
-impl Engine {
+impl Predictor {
     /// Builds the engine selected by `kind` from shared tuning.
     pub fn for_kind(kind: EngineKind, config: &EngineConfig) -> Engine {
         match kind {
-            EngineKind::Strided => Engine::Strided(Predictor::with_batch_window(
-                config.predictor_bits,
-                config.seq_batch_pages,
-            )),
-            EngineKind::Correlation => {
-                Engine::Correlation(CorrelationEngine::new(config.correlation.clone()))
+            EngineKind::Strided => {
+                Predictor::with_batch_window(config.predictor_bits, config.seq_batch_pages)
             }
-            EngineKind::Adaptive => Engine::Adaptive(Box::new(AdaptiveEngine::new(
-                config.adaptive.clone(),
-                config.predictor_bits,
-                config.seq_batch_pages,
-                config.correlation.clone(),
-            ))),
-        }
-    }
-
-    /// The sub-engine currently making real prefetch decisions — differs
-    /// from [`PredictionEngine::kind`] only for the adaptive selector.
-    pub fn owner(&self) -> EngineKind {
-        match self {
-            Engine::Strided(_) => EngineKind::Strided,
-            Engine::Correlation(_) => EngineKind::Correlation,
-            Engine::Adaptive(a) => a.owner(),
-        }
-    }
-}
-
-impl PredictionEngine for Engine {
-    fn kind(&self) -> EngineKind {
-        match self {
-            Engine::Strided(_) => EngineKind::Strided,
-            Engine::Correlation(_) => EngineKind::Correlation,
-            Engine::Adaptive(_) => EngineKind::Adaptive,
-        }
-    }
-
-    fn observe(&mut self, obs: &AccessObservation) -> PrefetchDecision {
-        match self {
-            Engine::Strided(e) => e.observe(obs),
-            Engine::Correlation(e) => e.observe(obs),
-            Engine::Adaptive(e) => e.observe(obs),
-        }
-    }
-
-    fn feedback(&mut self, fb: &QualityFeedback) {
-        match self {
-            Engine::Strided(e) => e.feedback(fb),
-            Engine::Correlation(e) => e.feedback(fb),
-            Engine::Adaptive(e) => e.feedback(fb),
-        }
-    }
-
-    fn wants_feedback(&self) -> bool {
-        match self {
-            Engine::Strided(e) => e.wants_feedback(),
-            Engine::Correlation(e) => e.wants_feedback(),
-            Engine::Adaptive(e) => e.wants_feedback(),
-        }
-    }
-
-    fn mine(&mut self) -> u64 {
-        match self {
-            Engine::Strided(e) => e.mine(),
-            Engine::Correlation(e) => e.mine(),
-            Engine::Adaptive(e) => e.mine(),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            Engine::Strided(e) => PredictionEngine::reset(e),
-            Engine::Correlation(e) => PredictionEngine::reset(e),
-            Engine::Adaptive(e) => PredictionEngine::reset(e.as_mut()),
         }
     }
 }
@@ -281,26 +99,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn engine_kinds_round_trip_names() {
-        for kind in EngineKind::all() {
-            assert!(!kind.name().is_empty());
-        }
-        assert_eq!(EngineKind::default(), EngineKind::Strided);
-    }
-
-    #[test]
-    fn for_kind_builds_matching_variants() {
-        let config = EngineConfig::default();
-        for kind in EngineKind::all() {
-            let engine = Engine::for_kind(kind, &config);
-            assert_eq!(engine.kind(), kind);
-        }
-    }
-
-    #[test]
-    fn strided_engine_mirrors_the_raw_predictor() {
-        let config = EngineConfig::default();
-        let mut engine = Engine::for_kind(EngineKind::Strided, &config);
+    fn engine_mirrors_the_raw_predictor() {
+        let mut engine = Engine::for_kind(EngineKind::Strided, &EngineConfig::default());
         let mut raw = Predictor::new(3);
         for i in 0..64u64 {
             let decision = engine.observe(&AccessObservation {
@@ -310,32 +110,9 @@ mod tests {
                 max_prefetch_pages: 16_384,
             });
             let expected = raw.on_access(i * 4, 4, false, 16_384);
-            assert_eq!(decision.prediction, Some(expected));
-            assert!(decision.runs.is_empty());
-            assert!(!decision.mine_due);
+            assert_eq!(decision.prediction, expected);
+            let confidence = f64::from(raw.counter()) / f64::from(raw.max_count());
+            assert_eq!(decision.confidence, confidence);
         }
-        assert!(!engine.wants_feedback());
-        assert_eq!(engine.mine(), 0);
-    }
-
-    #[test]
-    fn owner_tracks_the_adaptive_winner() {
-        let config = EngineConfig::default();
-        let mut engine = Engine::for_kind(EngineKind::Adaptive, &config);
-        assert_eq!(engine.owner(), EngineKind::Strided);
-        for _ in 0..128u64 {
-            for &page in &[1_000u64, 50_000, 200_000] {
-                let d = engine.observe(&AccessObservation {
-                    page,
-                    pages: 2,
-                    aggressive_ok: false,
-                    max_prefetch_pages: 16_384,
-                });
-                if d.mine_due {
-                    engine.mine();
-                }
-            }
-        }
-        assert_eq!(engine.owner(), EngineKind::Correlation);
     }
 }

@@ -9,7 +9,7 @@
 //! sequential), predictions are *delayed* for the next `n` accesses to keep
 //! interception overhead low.
 
-use crate::{AccessObservation, EngineKind, PredictionEngine, PrefetchDecision};
+use crate::{AccessObservation, PredictionEngine, PrefetchDecision};
 
 /// Sequentiality classes reported by the predictor (paper §4.6 naming).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -376,10 +376,6 @@ impl Default for Predictor {
 }
 
 impl PredictionEngine for Predictor {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Strided
-    }
-
     fn observe(&mut self, obs: &AccessObservation) -> PrefetchDecision {
         let prediction = self.on_access(
             obs.page,
@@ -389,9 +385,8 @@ impl PredictionEngine for Predictor {
         );
         let confidence = f64::from(self.counter()) / f64::from(self.max_count());
         PrefetchDecision {
-            prediction: Some(prediction),
+            prediction,
             confidence,
-            ..PrefetchDecision::default()
         }
     }
 

@@ -1,21 +1,19 @@
-//! KvProbe: a zipfian index-then-data probe workload (the YCSB-C shape
-//! correlation prefetching targets).
+//! KvProbe: a zipfian index-then-data probe workload (the YCSB-C shape).
 //!
 //! Each probe samples a key from a [`Zipfian`] distribution, reads the
 //! key's *index* page, then walks the key's *record* — a short run of
 //! consecutive data pages placed at a hashed (key-order-destroying) slot
-//! in the data region. The resulting page stream is exactly the pattern
-//! the strided §4.6 counter cannot learn and a correlation miner can:
+//! in the data region. The resulting page stream is hard on a stride
+//! detector:
 //!
-//! * index page → first record page is a recurring *jump* for hot keys
-//!   (mineable association, invisible to a stride detector);
+//! * index page → first record page is a recurring *jump* for hot keys;
 //! * within a record the stream is briefly sequential, so the strided
-//!   predictor ramps up and overshoots past the record's end (waste the
-//!   engine-comparison gate measures);
+//!   predictor must size its window to the record's remainder rather
+//!   than overshoot past its end;
 //! * hashed record placement means no global stride ever emerges.
 //!
 //! The driver is single-threaded and fully deterministic for a given
-//! config, so engine comparisons and same-seed determinism checks can
+//! config, so mechanism comparisons and same-seed determinism checks can
 //! diff telemetry byte-for-byte.
 
 use crossprefetch::{Runtime, PAGE_SIZE};
@@ -139,23 +137,21 @@ pub fn run_kvprobe(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossprefetch::{EngineKind, Mode, RuntimeConfig};
+    use crossprefetch::{Mode, RuntimeConfig};
     use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
 
-    fn runtime(engine: EngineKind, memory_mb: u64) -> Runtime {
+    fn runtime(memory_mb: u64) -> Runtime {
         let os = Os::new(
             OsConfig::with_memory_mb(memory_mb),
             Device::new(DeviceConfig::local_nvme()),
             FileSystem::new(FsKind::Ext4Like),
         );
-        let mut config = RuntimeConfig::new(Mode::Predict);
-        config.engine = engine;
-        Runtime::new(os, config)
+        Runtime::new(os, RuntimeConfig::new(Mode::Predict))
     }
 
     #[test]
     fn probe_counts_match_the_config() {
-        let rt = runtime(EngineKind::Strided, 64);
+        let rt = runtime(64);
         let cfg = KvProbeConfig {
             probes: 256,
             ..KvProbeConfig::default()
@@ -180,26 +176,9 @@ mod tests {
     }
 
     #[test]
-    fn correlation_engine_mines_the_probe_stream() {
-        let rt = runtime(EngineKind::Correlation, 64);
-        let cfg = KvProbeConfig {
-            probes: 2048,
-            ..KvProbeConfig::default()
-        };
-        setup_kvprobe(&rt, &cfg, "/kv");
-        let mut clock = rt.new_clock();
-        run_kvprobe(&rt, &mut clock, &cfg, "/kv");
-        assert!(rt.stats().engine_mining_passes.get() > 0);
-        assert!(
-            rt.stats().engine_assoc_runs.get() > 0,
-            "hot-key index→record pairs should mine into prefetch runs"
-        );
-    }
-
-    #[test]
     fn same_seed_runs_are_identical() {
         let run = || {
-            let rt = runtime(EngineKind::Adaptive, 64);
+            let rt = runtime(64);
             let cfg = KvProbeConfig {
                 probes: 1024,
                 ..KvProbeConfig::default()

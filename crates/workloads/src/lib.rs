@@ -12,9 +12,8 @@
 //!   randread, metadata-heavy "mongodb", videoserver);
 //! * [`snappy`] — a real Snappy block-format codec and the parallel
 //!   file-compression workload;
-//! * [`kvprobe`] — a zipfian index-then-data probe stream (the pattern
-//!   the correlation prediction engine mines and the strided counter
-//!   cannot), driving the engine-comparison bench;
+//! * [`kvprobe`] — a zipfian index-then-data probe stream, driving the
+//!   ring and tiered-placement comparison benches;
 //! * [`fleet`] — an open-loop multi-tenant arrival stream (seeded Poisson
 //!   arrivals over zipfian tenant popularity) driving the tenant-arbiter
 //!   comparison bench.

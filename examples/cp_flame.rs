@@ -1,8 +1,8 @@
 //! cp_flame: folded-stack critical paths for the slowest reads.
 //!
 //! Runs the kvprobe workload (zipfian index-then-data probes) under the
-//! full mechanism with the completion-driven ring and the adaptive engine, with
-//! causal span tracing enabled, then emits the tail exemplars' span trees
+//! full mechanism with the completion-driven ring, with causal span
+//! tracing enabled, then emits the tail exemplars' span trees
 //! in Brendan Gregg's collapsed format — one `frame;frame;...frame count`
 //! line per folded stack, counts in virtual nanoseconds — ready for
 //! `flamegraph.pl` or any folded-stack viewer.
@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use crossprefetch::{EngineKind, Mode, Runtime, RuntimeConfig};
+use crossprefetch::{Mode, Runtime, RuntimeConfig};
 use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
 use workloads::kvprobe::{run_kvprobe, setup_kvprobe, KvProbeConfig};
 
@@ -30,7 +30,6 @@ fn main() {
     );
     let mut config = RuntimeConfig::new(Mode::PredictOpt);
     config.ring_submit = true;
-    config.engine = EngineKind::Adaptive;
     let runtime = Runtime::new(os, config);
     runtime.spans().set_enabled(true);
 

@@ -9,9 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use crossprefetch::{
-    EngineKind, Mode, Runtime, RuntimeConfig, RuntimeReport, TraceEvent, TraceEventKind,
-};
+use crossprefetch::{Mode, Runtime, RuntimeConfig, RuntimeReport, TraceEvent, TraceEventKind};
 use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -21,12 +19,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         FileSystem::new(FsKind::Ext4Like),
     );
     // The completion-driven ring on, so the report's `ring` section
-    // carries real absorb/speculation numbers; the adaptive prediction
-    // engine, so the per-file ownership timeline below has transfers to
-    // show.
+    // carries real absorb/speculation numbers.
     let mut config = RuntimeConfig::new(Mode::PredictOpt);
     config.ring_submit = true;
-    config.engine = EngineKind::Adaptive;
     let runtime = Runtime::new(os, config);
     runtime.trace().set_enabled(true);
     let mut clock = runtime.new_clock();
@@ -52,17 +47,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         file.read_charge(&mut clock, (state % (63 << 20)) & !4095, chunk);
-    }
-
-    // A recurring far-jump chain on a second file: the strided counter
-    // learns nothing from it, the correlation miner learns the hops, and
-    // the adaptive duel transfers that file's ownership — the transfer
-    // shows up in the ownership timeline below.
-    let chain = runtime.create_sized(&mut clock, "/data/chain.bin", 16 << 20)?;
-    for _ in 0..128u64 {
-        for &page in &[100u64, 1600, 3200] {
-            chain.read_charge(&mut clock, page * 4096, 8192);
-        }
     }
 
     // 1. Machine-readable report.
@@ -103,18 +87,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n--- decision timeline (events per kind per ms slice) ---");
     print_timeline(&events);
 
-    // 4. Per-file engine ownership interleaved with ring speculation:
-    //    every duel the adaptive selector resolved with a change of
-    //    winner, plus each speculative pre-issue the ring dispatched and
-    //    each one a mispredict cancelled, in virtual-time order.
-    println!("\n--- engine ownership timeline ---");
+    // 4. Ring speculation: each speculative pre-issue the ring
+    //    dispatched and each one a mispredict cancelled, in virtual-time
+    //    order.
+    println!("\n--- ring speculation timeline ---");
     let mut shown = 0;
     for event in &events {
         match event.kind {
-            TraceEventKind::EngineOwner { ino, engine } => {
-                println!("{:>12} ns  ino={:<4} -> {engine}", event.ts_ns, ino.0);
-                shown += 1;
-            }
             TraceEventKind::RingSpecIssued {
                 ino,
                 start_page,
@@ -141,7 +120,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     if shown == 0 {
-        println!("(no ownership transfers or ring speculation)");
+        println!("(no ring speculation)");
     }
     Ok(())
 }

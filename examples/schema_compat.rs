@@ -4,8 +4,7 @@
 //! Table-2 mechanism (plus the fincore baseline) with every opt-in knob at
 //! its default, and a seventh run with every opt-in mechanism on
 //! (`PredictOpt` on a tiered store with the write-back daemon, the
-//! adaptive prediction engine, the completion-driven ring, a two-tenant
-//! arbiter, cross-tier promotion and span tracing) over a read + write +
+//! completion-driven ring, a two-tenant arbiter, cross-tier promotion and span tracing) over a read + write +
 //! `fsync` mix. Each run's full telemetry JSON is one line; the seven
 //! lines are compared byte-for-byte against the checked-in baseline
 //! (`tests/data/telemetry_schema_baseline.json`). Any difference means the
@@ -19,8 +18,8 @@
 use std::path::PathBuf;
 
 use crossprefetch::{
-    EngineKind, Mode, QosClass, Runtime, RuntimeConfig, RuntimeReport, TenantId, TenantSpec,
-    TenantsConfig, TieredStore, TieringConfig, WritebackConfig, PAGE_SIZE,
+    Mode, QosClass, Runtime, RuntimeConfig, RuntimeReport, TenantId, TenantSpec, TenantsConfig,
+    TieredStore, TieringConfig, WritebackConfig, PAGE_SIZE,
 };
 use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
 
@@ -84,7 +83,6 @@ fn run_all_on() -> String {
         FileSystem::new(FsKind::Ext4Like),
     );
     let mut config = RuntimeConfig::new(Mode::PredictOpt);
-    config.engine = EngineKind::Adaptive;
     config.ring_submit = true;
     config.tiering = Some(TieringConfig::new());
     config.tenants = Some(TenantsConfig::new(vec![

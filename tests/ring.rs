@@ -273,8 +273,8 @@ fn cancelled_speculation_is_charged_as_wasted() {
     );
 }
 
-/// The engines-suite closed-loop invariant, re-run with the ring enabled
-/// on the zipfian kvprobe: every initiated page is classified exactly
+/// The prefetch-quality identity with the ring enabled on the zipfian
+/// kvprobe: every initiated page is classified exactly
 /// once even when speculations issue, absorb, and cancel along the way.
 #[test]
 fn quality_counters_balance_under_ring_on_kvprobe() {

@@ -1,9 +1,10 @@
 //! Cross-crate integration tests: the full stack from device model to
 //! CROSS-LIB runtime, exercised together.
 
-use crossprefetch::{Mode, Runtime};
+use crossprefetch::{Mode, Runtime, RuntimeConfig, RuntimeReport, SEQ_BATCH_PAGES};
 use simos::{Advice, Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig, RaInfoRequest};
 use std::sync::Arc;
+use workloads::{run_kvprobe, setup_kvprobe, KvProbeConfig};
 
 fn boot(memory_mb: u64, fs: FsKind) -> Arc<Os> {
     Os::new(
@@ -269,4 +270,110 @@ fn mode_comparison_shapes_hold_end_to_end() {
         crossp_miss < app_miss / 2.0,
         "CrossPrefetch miss {crossp_miss:.0}% must be well below APPonly {app_miss:.0}%"
     );
+}
+
+/// A deterministic mixed workload: sequential ramp, warm re-read, random
+/// jumps.
+fn run_mixed_workload(config: RuntimeConfig) -> String {
+    let runtime = Runtime::new(boot(48, FsKind::Ext4Like), config);
+    let mut clock = runtime.new_clock();
+    let file = runtime
+        .create_sized(&mut clock, "/data/w.bin", 48 << 20)
+        .unwrap();
+    let chunk = 16 * 1024u64;
+    for i in 0..512u64 {
+        file.read_charge(&mut clock, i * chunk, chunk);
+    }
+    for i in 0..64u64 {
+        file.read_charge(&mut clock, i * chunk, chunk);
+    }
+    let mut state = 0x9E3779B97F4A7C15u64;
+    for _ in 0..128 {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        file.read_charge(&mut clock, (state % (47 << 20)) & !4095, chunk);
+    }
+    RuntimeReport::collect(&runtime).to_json()
+}
+
+/// One-page reads at a 16 KiB stride: each read leaves a 3-page gap, so
+/// the stream is sequential-ish under the default 32-page batch window
+/// and random under a 1-page window.
+fn run_gapped_stride_workload(config: RuntimeConfig) -> String {
+    let runtime = Runtime::new(boot(48, FsKind::Ext4Like), config);
+    let mut clock = runtime.new_clock();
+    let file = runtime
+        .create_sized(&mut clock, "/data/s.bin", 48 << 20)
+        .unwrap();
+    for i in 0..1024u64 {
+        file.read_charge(&mut clock, i * 16 * 1024, 4096);
+    }
+    RuntimeReport::collect(&runtime).to_json()
+}
+
+/// The `seq_batch_pages` knob: an explicit default is byte-identical to
+/// the implicit one, and a non-default value actually changes behaviour
+/// (the knob is live, not decorative).
+#[test]
+fn seq_batch_pages_default_is_identical_and_knob_is_live() {
+    for mode in [Mode::Predict, Mode::PredictOpt] {
+        let baseline = run_mixed_workload(RuntimeConfig::new(mode));
+        let mut explicit = RuntimeConfig::new(mode);
+        explicit.seq_batch_pages = SEQ_BATCH_PAGES;
+        assert_eq!(baseline, run_mixed_workload(explicit));
+
+        let strided = run_gapped_stride_workload(RuntimeConfig::new(mode));
+        let mut narrow = RuntimeConfig::new(mode);
+        narrow.seq_batch_pages = 1;
+        assert_ne!(
+            strided,
+            run_gapped_stride_workload(narrow),
+            "{}: a one-page batch window should classify the 3-page gaps as random",
+            mode.label()
+        );
+    }
+}
+
+/// Closed-loop quality accounting on the zipfian kvprobe: after a run
+/// plus a cache drop, every initiated prefetch page has been classified
+/// exactly once — timely + late + wasted sums to `pages_initiated` — and
+/// a same-seed rerun exports byte-identical telemetry.
+///
+/// `Mode::Predict` silences the OS heuristic readahead and does no
+/// open-time prefetch, so the runtime's own prefetch path is the only
+/// source of speculative pages; dropping the cache at the end converts
+/// still-speculative pages to wasted, closing the books. 8 MB of memory
+/// against an 18 MiB dataset keeps cold pages uncached, so planned
+/// prefetches actually issue.
+#[test]
+fn kvprobe_quality_books_balance_and_same_seed_runs_match() {
+    let run = || {
+        let runtime = Runtime::new(boot(8, FsKind::Ext4Like), RuntimeConfig::new(Mode::Predict));
+        let cfg = KvProbeConfig {
+            probes: 2048,
+            ..KvProbeConfig::default()
+        };
+        setup_kvprobe(&runtime, &cfg, "/kv");
+        let mut clock = runtime.new_clock();
+        run_kvprobe(&runtime, &mut clock, &cfg, "/kv");
+        runtime.os().drop_caches(&mut clock);
+        RuntimeReport::collect(&runtime)
+    };
+    let report = run();
+    let q = report.prefetch_quality;
+    assert!(
+        report.pages_initiated > 0,
+        "the probe stream should trigger prefetching"
+    );
+    assert_eq!(
+        q.timely + q.late + q.wasted,
+        report.pages_initiated,
+        "quality books don't balance (timely={} late={} wasted={} initiated={})",
+        q.timely,
+        q.late,
+        q.wasted,
+        report.pages_initiated
+    );
+    assert_eq!(report.to_json(), run().to_json(), "same-seed divergence");
 }
