@@ -8,6 +8,15 @@
 //! blocks). Once a steady state is reached (fully random or fully
 //! sequential), predictions are *delayed* for the next `n` accesses to keep
 //! interception overhead low.
+//!
+//! The window is also capped by a run model. A *run* is two or more
+//! consecutive accesses, each within the batch window of the one before;
+//! a jump ends it. A lone access between two jumps (an index probe, a
+//! random read) is not a run and stays out of the model. The predictor
+//! keeps a moving average of run lengths in pages and caps each window
+//! at the expected remainder of the current run, `avg − run` pages, but
+//! never below a 4-page floor: the average is an estimate, and a run may
+//! outlive it.
 
 use crate::{AccessObservation, PredictionEngine, PrefetchDecision};
 
@@ -74,6 +83,10 @@ impl AccessPattern {
 /// configurable per predictor via [`Predictor::with_batch_window`] and
 /// surfaced as `RuntimeConfig::seq_batch_pages` in the runtime.
 pub const SEQ_BATCH_PAGES: u64 = 32;
+
+/// Smallest window the run model caps to: near or past the expected end
+/// of a run, the predictor still prefetches this many pages.
+const RUN_CAP_FLOOR_PAGES: u64 = 4;
 
 /// Detected stream direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,9 +156,10 @@ pub struct Predictor {
     run_pages: u64,
     /// Accesses in the current sequential run.
     run_accesses: u64,
-    /// Exponential moving average of completed run lengths — used to cap
-    /// speculation for batched-but-random streams so the window covers
-    /// the rest of the batch without overshooting into the jump.
+    /// Exponential moving average of completed run lengths, in pages —
+    /// caps speculation at the expected remainder of the current run, so
+    /// the window covers the rest of a batch without overshooting into
+    /// the jump.
     avg_run_pages: u64,
 }
 
@@ -260,10 +274,15 @@ impl Predictor {
         } else {
             // A lone access between two jumps is a random read, not a run.
             if self.run_accesses > 1 {
+                // Round toward the new sample: truncating alone stalls a
+                // rising average up to 3 pages short of the true length.
+                let sum = 3 * self.avg_run_pages + self.run_pages;
                 self.avg_run_pages = if self.avg_run_pages == 0 {
                     self.run_pages
+                } else if self.run_pages > self.avg_run_pages {
+                    sum.div_ceil(4)
                 } else {
-                    (3 * self.avg_run_pages + self.run_pages) / 4
+                    sum / 4
                 };
             }
             self.run_pages = count;
@@ -345,11 +364,14 @@ impl Predictor {
         let mut amount = base.min(max_pages);
         // Fine-grained speculation capping: with run history, cap at the
         // expected remainder of the current run, so a batch is covered
-        // without overshooting into the jump. A fresh descriptor has no
-        // history; its ramp is already bounded by the counter itself
+        // without overshooting far into the jump. A fresh descriptor has
+        // no history; its ramp is already bounded by the counter itself
         // (2^c grows one doubling per access).
         if self.avg_run_pages > 0 {
-            let remaining = self.avg_run_pages.saturating_sub(self.run_pages).max(4);
+            let remaining = self
+                .avg_run_pages
+                .saturating_sub(self.run_pages)
+                .max(RUN_CAP_FLOOR_PAGES);
             amount = amount.min(remaining);
         }
         amount
@@ -641,5 +663,80 @@ mod tests {
         let pred = drive_sequential(&mut p, 0, 10, 4);
         assert_eq!(pred.direction, Direction::Forward);
         assert_eq!(pred.from_page, 40);
+    }
+
+    /// Reads one `pages`-page run at `start`, a page per access; returns
+    /// each access's prediction.
+    fn read_run(p: &mut Predictor, start: u64, pages: u64) -> Vec<Prediction> {
+        (0..pages)
+            .map(|i| p.on_access(start + i, 1, false, MAX))
+            .collect()
+    }
+
+    /// A key-value probe stream: a 1-page index read, then the key's
+    /// 8-page record far away, each read a page at a time.
+    fn kv_probe(p: &mut Predictor, key: u64) -> Vec<Prediction> {
+        p.on_access(key, 1, false, MAX);
+        read_run(p, 1_000_000 + key * 1_000, 8)
+    }
+
+    #[test]
+    fn kv_record_first_page_predicts_the_rest_of_the_record() {
+        let mut p = Predictor::new(3);
+        for key in 0..16 {
+            kv_probe(&mut p, key);
+        }
+        assert_eq!(p.avg_run_pages, 8, "index reads stay out of the average");
+        let record = kv_probe(&mut p, 16);
+        assert!(record[0].jumped);
+        // The record's first page predicts its other seven pages, in one
+        // round; later pages predict the remainder, never below the floor.
+        for (i, pred) in record.iter().enumerate() {
+            let remainder = 7 - i as u64;
+            assert_eq!(
+                pred.prefetch_pages,
+                remainder.max(RUN_CAP_FLOOR_PAGES),
+                "page {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn lone_access_leaves_the_run_average_unchanged() {
+        let mut p = Predictor::new(3);
+        for k in 0..4 {
+            read_run(&mut p, k * 100_000, 8);
+        }
+        assert_eq!(p.avg_run_pages, 8);
+        // A lone access between two jumps, then the next run's start.
+        p.on_access(50_000, 1, false, MAX);
+        p.on_access(900_000, 1, false, MAX);
+        assert_eq!(p.avg_run_pages, 8);
+    }
+
+    #[test]
+    fn run_outliving_its_average_keeps_the_floor() {
+        let mut p = Predictor::new(3);
+        for k in 0..8 {
+            read_run(&mut p, k * 100_000, 8);
+        }
+        let long = read_run(&mut p, 900_000, 12);
+        for pred in &long[7..] {
+            assert_eq!(pred.prefetch_pages, RUN_CAP_FLOOR_PAGES);
+        }
+    }
+
+    #[test]
+    fn run_average_rises_to_longer_runs() {
+        let mut p = Predictor::new(3);
+        for k in 0..8 {
+            read_run(&mut p, k * 100_000, 4);
+        }
+        p.on_access(5_000_000, 1, false, MAX); // closes the last run
+        assert_eq!(p.avg_run_pages, 4);
+        for k in 0..16 {
+            read_run(&mut p, 10_000_000 + k * 100_000, 8);
+        }
+        assert_eq!(p.avg_run_pages, 8);
     }
 }

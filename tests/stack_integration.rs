@@ -377,3 +377,50 @@ fn kvprobe_quality_books_balance_and_same_seed_runs_match() {
     );
     assert_eq!(report.to_json(), run().to_json(), "same-seed divergence");
 }
+
+/// A cold key-value record read after its 1-page index read costs one
+/// device round: the index read stays out of the predictor's run model,
+/// so the record's first page prefetches its other seven pages at once
+/// and their reads wait less than one device read in total. The
+/// OS-level half of this contract is
+/// `os_behavior::kv_record_read_after_a_jump_pays_one_device_wait`.
+#[test]
+fn kv_record_after_an_index_read_is_fetched_in_one_device_round() {
+    const RECORD_PAGES: u64 = 8;
+    const INDEX_PAGES: u64 = 1024;
+    let os = boot(64, FsKind::Ext4Like);
+    let rt = Runtime::new(Arc::clone(&os), RuntimeConfig::new(Mode::PredictOpt));
+    let mut clock = rt.new_clock();
+    let file = rt.create_sized(&mut clock, "/kv", 64 << 20).unwrap();
+    let page = crossprefetch::PAGE_SIZE;
+    // Records sit far apart past the index region, so each is a jump.
+    let record = |key: u64| INDEX_PAGES + 1000 + key * 512;
+    let probe = |clock: &mut simclock::ThreadClock, key: u64| {
+        file.read_charge(clock, key * page, page);
+        (0..RECORD_PAGES)
+            .map(|j| {
+                let t0 = clock.now();
+                file.read_charge(clock, (record(key) + j) * page, page);
+                clock.now() - t0
+            })
+            .collect::<Vec<_>>()
+    };
+    for key in 0..16 {
+        probe(&mut clock, key);
+    }
+    let cold = 16;
+    assert_eq!(
+        os.cache(file.ino())
+            .state
+            .read()
+            .present_in(record(cold), record(cold) + 64),
+        0
+    );
+    let waits = probe(&mut clock, cold);
+    let one_device_read = os.device().config().read_request_latency_ns();
+    let tail_wait: u64 = waits[1..].iter().sum();
+    assert!(
+        tail_wait < one_device_read,
+        "pages 1-7 waited {tail_wait} ns in total, one device read is {one_device_read} ns"
+    );
+}
