@@ -1,6 +1,6 @@
 //! Runtime modes, feature staging, and tunables.
 
-use predict::{EngineConfig, EngineKind, SEQ_BATCH_PAGES};
+use predict::{EngineKind, SEQ_BATCH_PAGES};
 use simos::PAGE_SIZE;
 
 /// The comparison mechanisms of the paper's Table 2 (plus the Figure 2
@@ -108,8 +108,9 @@ pub struct RuntimeConfig {
     /// Predictor counter width in bits (`CROSS_BITMAP_SHIFT` analogue).
     pub predictor_bits: u32,
     /// Which prediction engine new descriptors use: the §4.6 strided
-    /// counter, the only one there is. Only modes with the `predict`
-    /// feature consult an engine at all.
+    /// counter, the only one there is, so the runtime never reads this.
+    /// Kept for callers that build a predictor through
+    /// [`predict::Predictor::for_kind`].
     pub engine: EngineKind,
     /// Sequential-batch window in pages: jumps within this distance of
     /// the previous access still count as sequential-ish (Linux's
@@ -231,14 +232,6 @@ impl RuntimeConfig {
             self.registry_shards
         }
     }
-
-    /// Bundles the predictor tuning knobs for [`predict::Predictor::for_kind`].
-    pub fn engine_config(&self) -> EngineConfig {
-        EngineConfig {
-            predictor_bits: self.predictor_bits,
-            seq_batch_pages: self.seq_batch_pages,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -291,15 +284,5 @@ mod tests {
         assert_eq!(config.predictor_bits, 3);
         assert_eq!(config.engine, EngineKind::Strided);
         assert_eq!(config.seq_batch_pages, SEQ_BATCH_PAGES);
-    }
-
-    #[test]
-    fn engine_config_mirrors_the_knobs() {
-        let mut config = RuntimeConfig::new(Mode::Predict);
-        config.predictor_bits = 4;
-        config.seq_batch_pages = 64;
-        let ec = config.engine_config();
-        assert_eq!(ec.predictor_bits, 4);
-        assert_eq!(ec.seq_batch_pages, 64);
     }
 }

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use predict::{AccessObservation, Engine, PredictionEngine};
+use predict::{AccessObservation, PredictionEngine, Predictor};
 use simclock::ThreadClock;
 use simos::shard::{RegistryStats, ShardedMap};
 use simos::{
@@ -62,7 +62,7 @@ pub struct LibFile {
 
 /// An open file handle through CROSS-LIB — the shim's `FILE*` analogue.
 ///
-/// Each handle carries its own prediction [`Engine`] (§4.6's
+/// Each handle carries its own [`Predictor`] (§4.6's
 /// per-file-descriptor prefetching, from the [`predict`] crate), while
 /// the cache view ([`LibFile`]) is shared across handles to the same
 /// file.
@@ -72,7 +72,7 @@ pub struct CpFile {
     pub(crate) fd: Fd,
     pub(crate) file: Arc<LibFile>,
     /// The strided predictor driving this descriptor's prefetch decisions.
-    pub(crate) engine: Mutex<Engine>,
+    pub(crate) engine: Mutex<Predictor>,
     /// Pages prefetched ahead of (forward) or behind (backward) the stream
     /// through this descriptor — the async-marker analogue that paces
     /// window growth by consumption instead of by access count.
@@ -390,7 +390,8 @@ impl Runtime {
             OpenAction::OptimisticWindow => {}
         }
 
-        let engine = Engine::for_kind(self.inner.config.engine, &self.inner.config.engine_config());
+        let config = &self.inner.config;
+        let engine = Predictor::with_batch_window(config.predictor_bits, config.seq_batch_pages);
         CpFile {
             runtime: self.clone(),
             fd,

@@ -1,9 +1,8 @@
 //! The prefetch predictor of the CrossPrefetch runtime.
 //!
 //! CROSS-LIB predicts with one per-file-descriptor strided counter
-//! (§4.6), [`Predictor`]. The runtime holds one [`Engine`] per file
-//! descriptor and calls [`PredictionEngine::observe`] from its predict
-//! pipeline stage; the decision's [`Prediction`] feeds the paced-frontier
+//! (§4.6), [`Predictor`]. The runtime holds one per file descriptor and
+//! calls [`PredictionEngine::observe`] from its predict pipeline stage; the decision's [`Prediction`] feeds the paced-frontier
 //! planner, and its confidence gates the ring's speculation and tier
 //! promotion.
 //!
@@ -18,7 +17,9 @@ pub mod strided;
 
 pub use strided::{AccessPattern, Direction, Prediction, Predictor, SEQ_BATCH_PAGES};
 
-/// The per-descriptor prediction engine: the strided counter.
+/// The per-descriptor prediction engine: the strided counter. With
+/// [`EngineKind`], [`EngineConfig`] and [`Predictor::for_kind`] it keeps
+/// code that selects an engine by kind building.
 pub type Engine = Predictor;
 
 /// Which prediction engine a file descriptor uses. The strided counter
