@@ -1,5 +1,6 @@
 //! Byte-faithful sparse block content store.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use parking_lot::Mutex;
@@ -81,12 +82,21 @@ impl SparseStore {
             data.len()
         );
         let mut shard = self.shard(pblock).lock();
-        let entry = shard.entry(pblock).or_insert_with(|| {
-            let mut fresh = vec![0u8; BLOCK_SIZE];
-            fill_synthetic(pblock, &mut fresh);
-            fresh.into_boxed_slice()
-        });
-        entry[offset..offset + data.len()].copy_from_slice(data);
+        match shard.entry(pblock) {
+            Entry::Occupied(block) => {
+                block.into_mut()[offset..offset + data.len()].copy_from_slice(data);
+            }
+            // A whole-block write keeps none of the synthetic content.
+            Entry::Vacant(slot) if data.len() == BLOCK_SIZE => {
+                slot.insert(data.into());
+            }
+            Entry::Vacant(slot) => {
+                let mut fresh = vec![0u8; BLOCK_SIZE];
+                fill_synthetic(pblock, &mut fresh);
+                fresh[offset..offset + data.len()].copy_from_slice(data);
+                slot.insert(fresh.into_boxed_slice());
+            }
+        }
     }
 
     /// Discards stored content for a block (reads revert to synthetic).
@@ -148,6 +158,18 @@ mod tests {
         let synth = synthetic_block(9);
         assert_eq!(&block[..100], &synth[..100]);
         assert_eq!(&block[105..], &synth[105..]);
+    }
+
+    #[test]
+    fn whole_block_partial_write_replaces_the_block() {
+        let store = SparseStore::new();
+        let data = vec![9u8; BLOCK_SIZE];
+        store.write_partial(4, 0, b"old");
+        store.write_partial(4, 0, &data);
+        store.write_partial(6, 0, &data);
+        assert_eq!(store.read_block_vec(4), data);
+        assert_eq!(store.read_block_vec(6), data);
+        assert_eq!(store.resident_blocks(), 2);
     }
 
     #[test]
