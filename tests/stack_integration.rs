@@ -4,7 +4,6 @@
 use crossprefetch::{Mode, Runtime, RuntimeConfig, RuntimeReport, SEQ_BATCH_PAGES};
 use simos::{Advice, Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig, RaInfoRequest};
 use std::sync::Arc;
-use workloads::{run_kvprobe, setup_kvprobe, KvProbeConfig};
 
 fn boot(memory_mb: u64, fs: FsKind) -> Arc<Os> {
     Os::new(
@@ -333,49 +332,6 @@ fn seq_batch_pages_default_is_identical_and_knob_is_live() {
             mode.label()
         );
     }
-}
-
-/// Closed-loop quality accounting on the zipfian kvprobe: after a run
-/// plus a cache drop, every initiated prefetch page has been classified
-/// exactly once — timely + late + wasted sums to `pages_initiated` — and
-/// a same-seed rerun exports byte-identical telemetry.
-///
-/// `Mode::Predict` silences the OS heuristic readahead and does no
-/// open-time prefetch, so the runtime's own prefetch path is the only
-/// source of speculative pages; dropping the cache at the end converts
-/// still-speculative pages to wasted, closing the books. 8 MB of memory
-/// against an 18 MiB dataset keeps cold pages uncached, so planned
-/// prefetches actually issue.
-#[test]
-fn kvprobe_quality_books_balance_and_same_seed_runs_match() {
-    let run = || {
-        let runtime = Runtime::new(boot(8, FsKind::Ext4Like), RuntimeConfig::new(Mode::Predict));
-        let cfg = KvProbeConfig {
-            probes: 2048,
-            ..KvProbeConfig::default()
-        };
-        setup_kvprobe(&runtime, &cfg, "/kv");
-        let mut clock = runtime.new_clock();
-        run_kvprobe(&runtime, &mut clock, &cfg, "/kv");
-        runtime.os().drop_caches(&mut clock);
-        RuntimeReport::collect(&runtime)
-    };
-    let report = run();
-    let q = report.prefetch_quality;
-    assert!(
-        report.pages_initiated > 0,
-        "the probe stream should trigger prefetching"
-    );
-    assert_eq!(
-        q.timely + q.late + q.wasted,
-        report.pages_initiated,
-        "quality books don't balance (timely={} late={} wasted={} initiated={})",
-        q.timely,
-        q.late,
-        q.wasted,
-        report.pages_initiated
-    );
-    assert_eq!(report.to_json(), run().to_json(), "same-seed divergence");
 }
 
 /// A cold key-value record read after its 1-page index read costs one
