@@ -29,9 +29,7 @@
 
 use std::sync::atomic::Ordering;
 
-use predict::{
-    AccessObservation, AccessPattern, Direction, Prediction, PredictionEngine, PrefetchDecision,
-};
+use predict::{AccessPattern, Direction, Prediction};
 use simclock::ThreadClock;
 use simos::{IoError, ReadOutcome, PAGE_SIZE};
 
@@ -164,13 +162,13 @@ pub(crate) struct ReadCtx {
     /// Pages of the span the user-level view claimed cached (set by the
     /// cache-probe stage, consumed by the ring's absorb decision).
     claimed: u64,
-    /// Engine output (set by the predict stage when the mechanism
-    /// predicts, consumed by the prefetch-plan stage): the strided
-    /// prediction and its confidence.
-    decision: Option<PrefetchDecision>,
+    /// Predictor output (set by the predict stage when the mechanism
+    /// predicts, consumed by the prefetch-plan stage): the prediction
+    /// and the predictor's confidence in it.
+    prediction: Option<(Prediction, f64)>,
     /// Page range `[start, end)` of the predicted *next* demand read,
     /// set by the prefetch-plan stage when the ring is on and the
-    /// engine's confidence clears the speculation bar; consumed by the
+    /// predictor's confidence clears the speculation bar; consumed by the
     /// account stage, which pre-issues it through the ring.
     spec_target: Option<(u64, u64)>,
     /// Virtual time the current stage started (stage-latency base).
@@ -318,7 +316,7 @@ impl CpFile {
             tracing,
             spans,
             claimed: 0,
-            decision: None,
+            prediction: None,
             spec_target: None,
             stage_start_ns: entry_ns,
         };
@@ -337,16 +335,17 @@ impl CpFile {
             clock.advance(inner.os.config().costs.predictor_step_ns);
             let aggressive_ok =
                 inner.policy.features.aggressive && runtime.aggressive_allowed(clock.now());
-            ctx.decision = Some(self.engine.lock().observe(&AccessObservation {
-                page: ctx.p0,
-                pages: ctx.pages,
+            let mut predictor = self.predictor.lock();
+            let pred = predictor.on_access(
+                ctx.p0,
+                ctx.pages,
                 aggressive_ok,
-                max_prefetch_pages: inner.config.max_prefetch_pages,
-            }));
+                inner.config.max_prefetch_pages,
+            );
+            ctx.prediction = Some((pred, predictor.confidence()));
         }
         if ctx.tracing {
-            if let Some(decision) = &ctx.decision {
-                let pred = decision.prediction;
+            if let Some((pred, _)) = ctx.prediction {
                 let index = pred.pattern.index();
                 let prev = self.last_pattern.swap(index, Ordering::Relaxed);
                 if prev != index {
@@ -377,17 +376,13 @@ impl CpFile {
             self.runtime
                 .prefetch_pages(clock, &self.file, ctx.p0, pages, true);
         }
-        // Speculative pre-issue target (ring only): when the engine's
+        // Speculative pre-issue target (ring only): when the predictor's
         // confidence clears the bar, the predicted *next* demand read —
         // same size as this one, adjacent in the stream's direction. The
         // account stage issues it after this access settles; the issue
         // path re-checks that normal prefetch has not covered it.
         if inner.policy.ring && ctx.pages > 0 {
-            if let Some(PrefetchDecision {
-                prediction: pred,
-                confidence,
-            }) = ctx.decision
-            {
+            if let Some((pred, confidence)) = ctx.prediction {
                 if confidence >= inner.config.ring_spec_confidence && pred.prefetch_pages > 0 {
                     let file_pages = inner.os.fs().size(self.file.ino).div_ceil(PAGE_SIZE);
                     ctx.spec_target = match pred.direction {
@@ -410,14 +405,14 @@ impl CpFile {
         if inner.planner.is_some() && !ctx.is_write {
             self.maybe_promote(clock, ctx);
         }
-        if let Some(decision) = ctx.decision {
-            self.paced_prefetch(clock, decision.prediction, ctx.p0, ctx.p1);
+        if let Some((pred, _)) = ctx.prediction {
+            self.paced_prefetch(clock, pred, ctx.p0, ctx.p1);
         }
         ctx.close_stage(self, PipelineStage::PrefetchPlan, clock.now());
     }
 
     /// Promotion candidate selection (tiering on only): the access plus
-    /// the engine's predicted window, handed to the planner for
+    /// the predictor's predicted window, handed to the planner for
     /// confidence gating, frontier dedup, and clamping. Only forward
     /// streams promote — the planner's frontier is monotone, matching
     /// the placement map's word-granular advance.
@@ -426,11 +421,7 @@ impl CpFile {
         let Some(planner) = &inner.planner else {
             return;
         };
-        let Some(PrefetchDecision {
-            prediction: pred,
-            confidence,
-        }) = ctx.decision
-        else {
+        let Some((pred, confidence)) = ctx.prediction else {
             return;
         };
         if pred.prefetch_pages == 0 || !matches!(pred.direction, Direction::Forward) {

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use predict::{AccessObservation, PredictionEngine, Predictor};
+use predict::Predictor;
 use simclock::ThreadClock;
 use simos::shard::{RegistryStats, ShardedMap};
 use simos::{
@@ -72,7 +72,7 @@ pub struct CpFile {
     pub(crate) fd: Fd,
     pub(crate) file: Arc<LibFile>,
     /// The strided predictor driving this descriptor's prefetch decisions.
-    pub(crate) engine: Mutex<Predictor>,
+    pub(crate) predictor: Mutex<Predictor>,
     /// Pages prefetched ahead of (forward) or behind (backward) the stream
     /// through this descriptor — the async-marker analogue that paces
     /// window growth by consumption instead of by access count.
@@ -391,12 +391,12 @@ impl Runtime {
         }
 
         let config = &self.inner.config;
-        let engine = Predictor::with_batch_window(config.predictor_bits, config.seq_batch_pages);
+        let predictor = Predictor::with_batch_window(config.predictor_bits, config.seq_batch_pages);
         CpFile {
             runtime: self.clone(),
             fd,
             file,
-            engine: Mutex::new(engine),
+            predictor: Mutex::new(predictor),
             fwd_frontier: AtomicU64::new(0),
             back_frontier: AtomicU64::new(u64::MAX),
             window_pages: AtomicU64::new(0),
@@ -1176,13 +1176,13 @@ impl CpFile {
             }
             let aggressive_ok =
                 inner.policy.features.aggressive && runtime.aggressive_allowed(clock.now());
-            let decision = self.engine.lock().observe(&AccessObservation {
-                page: p0,
-                pages: p1 - p0,
+            let pred = self.predictor.lock().on_access(
+                p0,
+                p1 - p0,
                 aggressive_ok,
-                max_prefetch_pages: inner.config.max_prefetch_pages,
-            });
-            self.paced_prefetch(clock, decision.prediction, p0, p1);
+                inner.config.max_prefetch_pages,
+            );
+            self.paced_prefetch(clock, pred, p0, p1);
         }
         outcome
     }

@@ -2,9 +2,15 @@
 //!
 //! CROSS-LIB predicts with one per-file-descriptor strided counter
 //! (§4.6), [`Predictor`]. The runtime holds one per file descriptor and
-//! calls [`PredictionEngine::observe`] from its predict pipeline stage; the decision's [`Prediction`] feeds the paced-frontier
-//! planner, and its confidence gates the ring's speculation and tier
+//! calls [`Predictor::on_access`] from its predict pipeline stage; the
+//! [`Prediction`] feeds the paced-frontier planner, and
+//! [`Predictor::confidence`] gates the ring's speculation and tier
 //! promotion.
+//!
+//! [`PredictionEngine`], [`PrefetchDecision`], [`Engine`],
+//! [`EngineKind`], [`EngineConfig`] and [`Predictor::for_kind`] wrap the
+//! same predictor for code that builds and drives it by engine kind
+//! (the `perfbench` predict-stage probe); the runtime does not use them.
 //!
 //! The crate is deliberately free of clock, OS, and I/O types: the
 //! predictor is a pure deterministic state machine over page numbers,

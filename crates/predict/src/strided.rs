@@ -211,6 +211,12 @@ impl Predictor {
         self.counter
     }
 
+    /// Confidence in the current prediction, in `[0, 1]`: the counter's
+    /// share of its ceiling.
+    pub fn confidence(&self) -> f64 {
+        f64::from(self.counter) / f64::from(self.max_count())
+    }
+
     /// Maps the counter to the paper's pattern classes (scaled to the
     /// configured width; shown for the default 3-bit encoding 000..110).
     pub fn pattern(&self) -> AccessPattern {
@@ -405,10 +411,9 @@ impl PredictionEngine for Predictor {
             obs.aggressive_ok,
             obs.max_prefetch_pages,
         );
-        let confidence = f64::from(self.counter()) / f64::from(self.max_count());
         PrefetchDecision {
             prediction,
-            confidence,
+            confidence: self.confidence(),
         }
     }
 
