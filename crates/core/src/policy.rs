@@ -71,7 +71,7 @@ pub struct Policy {
     pub tenants: bool,
     /// Cross-tier promotion planning: `true` when a tiering config is
     /// present and a [`crate::tiering::TierPlanner`] *may* be built.
-    /// Promotion consumes engine confidence, so like the ring it only
+    /// Promotion consumes predictor confidence, so like the ring it only
     /// does anything under a predicting mode — and it additionally
     /// requires the OS to actually sit on a tiered store, which the
     /// runtime checks at construction (policy is config-only).

@@ -8,7 +8,7 @@
 //!   is *absorbed* through the shared CROSS-OS bitmap
 //!   (`simos::Os::absorb_read`) with zero syscall crossings; everything
 //!   else crosses through the ordinary `read(2)` path;
-//! * when the active prediction engine's confidence clears
+//! * when the descriptor's predictor's confidence clears
 //!   [`crate::RuntimeConfig::ring_spec_confidence`], the next predicted
 //!   demand read is pre-issued speculatively (Foreactor-style) and
 //!   recorded as a [`SpecRead`] completion: absorbed on an exact match,

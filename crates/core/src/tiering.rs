@@ -30,7 +30,7 @@ use parking_lot::Mutex;
 /// the planner entirely and leaves every mechanism byte-identical).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TieringConfig {
-    /// Minimum engine confidence (same scale as
+    /// Minimum predictor confidence (same scale as
     /// [`crate::RuntimeConfig::ring_spec_confidence`]) before a predicted
     /// range is worth a promotion copy. Promotion moves data, not just
     /// cache state, so the bar sits above the speculation bar by default.
